@@ -1,0 +1,204 @@
+#include "check/sched_ref.h"
+
+#include <algorithm>
+#include <sstream>
+
+namespace ht {
+
+namespace {
+
+// Replays the recorded ACT-gate answers in call order.
+class GateReplay {
+ public:
+  explicit GateReplay(const SchedScan& scan) : scan_(scan) {}
+
+  Cycle AllowedAt(uint32_t rank, uint32_t bank, uint32_t row) {
+    if (next_ >= scan_.act_queries.size()) {
+      match_ = false;
+      return scan_.now;  // The controller never asked; treat as open.
+    }
+    const SchedActQuery& query = scan_.act_queries[next_++];
+    if (query.rank != rank || query.bank != bank || query.row != row) {
+      match_ = false;
+    }
+    return query.allowed;
+  }
+
+  bool AllConsumed() const { return match_ && next_ == scan_.act_queries.size(); }
+
+ private:
+  const SchedScan& scan_;
+  size_t next_ = 0;
+  bool match_ = true;
+};
+
+SchedPick ThreePassScan(const SchedScan& scan, GateReplay& gate) {
+  const TimingChecker& timing = *scan.timing;
+  const Cycle now = scan.now;
+  const std::vector<SchedRequestView>& queue = scan.queue;
+  SchedPick pick;
+  Cycle block = kNeverCycle;
+  bool unstable = false;
+
+  const auto draining = [&scan](const DdrCoord& coord) {
+    const uint32_t slot = scan.per_bank_refresh ? coord.rank * scan.banks + coord.bank : coord.rank;
+    return (scan.due_slots & (1ull << slot)) != 0;
+  };
+
+  // Pass 1 (FR): oldest row-hit whose RD/WR is legal now.
+  for (const SchedRequestView& pending : queue) {
+    const auto open_row = timing.OpenRow(pending.coord.rank, pending.coord.bank);
+    if (draining(pending.coord) || !open_row.has_value() || *open_row != pending.coord.row) {
+      continue;
+    }
+    const bool ap = !scan.open_page;
+    const DdrCommand cmd =
+        pending.op == MemOp::kRead
+            ? DdrCommand::Rd(pending.coord.rank, pending.coord.bank, pending.coord.column, ap)
+            : DdrCommand::Wr(pending.coord.rank, pending.coord.bank, pending.coord.column, ap);
+    if (timing.Check(cmd, now) == TimingVerdict::kOk) {
+      pick.kind = SchedPick::Kind::kHit;
+      pick.seq = pending.seq;
+      pick.cmd = cmd;
+      return pick;
+    }
+    block = std::min(block, timing.EarliestCycle(cmd));
+  }
+
+  // Pass 2 (FCFS): oldest request to a closed bank — ACT (unless throttled).
+  // Banks already claimed by an older request cannot be stolen.
+  uint64_t claimed_banks = 0;
+  for (const SchedRequestView& pending : queue) {
+    const uint64_t bank_bit = 1ull << (pending.coord.rank * scan.banks + pending.coord.bank);
+    if ((claimed_banks & bank_bit) != 0) {
+      continue;
+    }
+    claimed_banks |= bank_bit;
+    if (draining(pending.coord) ||
+        timing.OpenRow(pending.coord.rank, pending.coord.bank).has_value()) {
+      continue;
+    }
+    if (scan.gated &&
+        gate.AllowedAt(pending.coord.rank, pending.coord.bank, pending.coord.row) > now) {
+      ++pick.throttle_stalls;
+      unstable = true;
+      continue;
+    }
+    const DdrCommand act =
+        DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
+    if (timing.Check(act, now) == TimingVerdict::kOk) {
+      pick.kind = SchedPick::Kind::kAct;
+      pick.seq = pending.seq;
+      pick.cmd = act;
+      return pick;
+    }
+    block = std::min(block, timing.EarliestCycle(act));
+  }
+
+  // Pass 3: oldest conflicting request — PRE the bank if no older request
+  // still wants the open row.
+  for (size_t i = 0; i < queue.size(); ++i) {
+    const SchedRequestView& pending = queue[i];
+    const auto open_row = timing.OpenRow(pending.coord.rank, pending.coord.bank);
+    if (!open_row.has_value() || *open_row == pending.coord.row) {
+      continue;
+    }
+    bool older_wants_open_row = false;
+    for (size_t j = 0; j < i; ++j) {
+      const SchedRequestView& other = queue[j];
+      if (other.coord.rank == pending.coord.rank && other.coord.bank == pending.coord.bank &&
+          other.coord.row == *open_row) {
+        older_wants_open_row = true;
+        break;
+      }
+    }
+    if (older_wants_open_row) {
+      continue;
+    }
+    const DdrCommand pre = DdrCommand::Pre(pending.coord.rank, pending.coord.bank);
+    if (timing.Check(pre, now) == TimingVerdict::kOk) {
+      pick.kind = SchedPick::Kind::kPre;
+      pick.seq = pending.seq;
+      pick.cmd = pre;
+      return pick;
+    }
+    block = std::min(block, timing.EarliestCycle(pre));
+  }
+  pick.next_sched = unstable ? now + 1 : std::max(block, now + 1);
+  return pick;
+}
+
+bool SameCommand(const DdrCommand& a, const DdrCommand& b) {
+  return a.type == b.type && a.rank == b.rank && a.bank == b.bank && a.row == b.row &&
+         a.column == b.column && a.blast == b.blast && a.ap == b.ap;
+}
+
+std::string Describe(const SchedPick& pick) {
+  std::ostringstream out;
+  switch (pick.kind) {
+    case SchedPick::Kind::kNone:
+      out << "none (next_sched " << pick.next_sched << ")";
+      break;
+    case SchedPick::Kind::kHit:
+    case SchedPick::Kind::kAct:
+    case SchedPick::Kind::kPre:
+      out << pick.cmd.ToDebugString() << " for request #" << pick.seq;
+      break;
+  }
+  out << ", " << pick.throttle_stalls << " throttled";
+  return out.str();
+}
+
+}  // namespace
+
+RefSchedResult ReferenceSchedPick(const SchedScan& scan) {
+  GateReplay gate(scan);
+  RefSchedResult result;
+  result.pick = ThreePassScan(scan, gate);
+  result.queries_match = gate.AllConsumed();
+  return result;
+}
+
+void SchedulerOracle::OnScan(const SchedScan& scan, const SchedPick& pick) {
+  ++scans_checked_;
+  ++picks_by_kind_[static_cast<size_t>(pick.kind)];
+  if (pick.throttle_stalls != 0) {
+    ++throttled_scans_;
+  }
+  if (scan.due_slots != 0) {
+    ++draining_scans_;
+  }
+  const RefSchedResult ref = ReferenceSchedPick(scan);
+  const bool none = pick.kind == SchedPick::Kind::kNone;
+  const bool same = ref.queries_match && ref.pick.kind == pick.kind &&
+                    ref.pick.throttle_stalls == pick.throttle_stalls &&
+                    (none ? ref.pick.next_sched == pick.next_sched
+                          : ref.pick.seq == pick.seq && SameCommand(ref.pick.cmd, pick.cmd));
+  if (same) {
+    return;
+  }
+  ++total_divergences_;
+  if (divergences_.size() < max_divergences_) {
+    std::ostringstream out;
+    out << "[ch " << scan.channel << " @ cycle " << scan.now << ", " << scan.queue.size()
+        << " queued] picked " << Describe(pick) << "; reference " << Describe(ref.pick);
+    if (!ref.queries_match) {
+      out << "; ACT-gate queries differ";
+    }
+    divergences_.push_back(out.str());
+  }
+}
+
+std::string SchedulerOracle::Report() const {
+  std::ostringstream out;
+  out << scans_checked_ << " scans checked, " << total_divergences_ << " divergences";
+  for (const std::string& what : divergences_) {
+    out << "\n  " << what;
+  }
+  if (total_divergences_ > divergences_.size()) {
+    out << "\n  ... " << (total_divergences_ - divergences_.size()) << " more";
+  }
+  return out.str();
+}
+
+}  // namespace ht

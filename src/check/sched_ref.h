@@ -1,0 +1,66 @@
+// Reference FR-FCFS scheduler: a three-pass scan over the whole queue,
+// as a pure function of a pre-scan snapshot, so the controller's per-bank
+// scheduler can be checked pick for pick.
+//
+//  1. (FR) the oldest queued row hit whose RD/WR is legal now;
+//  2. (FCFS) else an ACT for the oldest request of a closed bank, younger
+//     requests of that bank never taking it, subject to the mitigation's
+//     ACT gate;
+//  3. else a PRE for the oldest conflicting request whose bank has no
+//     older request still wanting the open row.
+//
+// Banks (or ranks) with an overdue REF skip passes 1 and 2, not 3. The
+// gate is not called: its answers are replayed from the snapshot, and a
+// query the controller did not make (or made in another order) is a
+// divergence in its own right.
+#ifndef HAMMERTIME_SRC_CHECK_SCHED_REF_H_
+#define HAMMERTIME_SRC_CHECK_SCHED_REF_H_
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "mc/sched_hooks.h"
+
+namespace ht {
+
+struct RefSchedResult {
+  SchedPick pick;
+  // The reference's gate queries matched the recorded ones exactly
+  // (same banks and rows, same order, none left over).
+  bool queries_match = true;
+};
+
+// O(queue^2): every pass walks the queue in age order.
+RefSchedResult ReferenceSchedPick(const SchedScan& scan);
+
+// Checks every scan of a controller against ReferenceSchedPick.
+class SchedulerOracle final : public SchedulerCheckObserver {
+ public:
+  explicit SchedulerOracle(size_t max_divergences = 16) : max_divergences_(max_divergences) {}
+
+  void OnScan(const SchedScan& scan, const SchedPick& pick) override;
+
+  bool ok() const { return total_divergences_ == 0; }
+  uint64_t scans_checked() const { return scans_checked_; }
+  uint64_t total_divergences() const { return total_divergences_; }
+  // Scans by outcome, indexed by SchedPick::Kind; and scans that saw a
+  // throttled ACT or a draining refresh slot (coverage for tests).
+  const uint64_t* picks_by_kind() const { return picks_by_kind_; }
+  uint64_t throttled_scans() const { return throttled_scans_; }
+  uint64_t draining_scans() const { return draining_scans_; }
+  std::string Report() const;
+
+ private:
+  size_t max_divergences_;
+  uint64_t scans_checked_ = 0;
+  uint64_t total_divergences_ = 0;
+  uint64_t picks_by_kind_[4] = {0, 0, 0, 0};
+  uint64_t throttled_scans_ = 0;
+  uint64_t draining_scans_ = 0;
+  std::vector<std::string> divergences_;
+};
+
+}  // namespace ht
+
+#endif  // HAMMERTIME_SRC_CHECK_SCHED_REF_H_

@@ -58,9 +58,12 @@ void ShardWorkerGroup::EnsureHelpers(unsigned count) {
   while (helpers_.size() < count) {
     auto helper = std::make_unique<Helper>();
     helper->done_epoch.store(epoch, std::memory_order_seq_cst);
+    // The thread gets its Helper by address: a later push_back here may
+    // reallocate helpers_ while the thread runs, so it must not index it.
+    Helper* self = helper.get();
     const unsigned index = static_cast<unsigned>(helpers_.size());
     helpers_.push_back(std::move(helper));
-    helpers_.back()->thread = std::thread([this, index, epoch] { HelperLoop(index, epoch); });
+    self->thread = std::thread([this, self, index, epoch] { HelperLoop(*self, index, epoch); });
   }
 }
 
@@ -77,8 +80,7 @@ void ShardWorkerGroup::RunStripe(unsigned member) {
   }
 }
 
-void ShardWorkerGroup::HelperLoop(unsigned index, uint64_t initial_epoch) {
-  Helper& self = *helpers_[index];
+void ShardWorkerGroup::HelperLoop(Helper& self, unsigned index, uint64_t initial_epoch) {
   uint64_t seen = initial_epoch;
   for (;;) {
     uint64_t epoch = epoch_.load(std::memory_order_seq_cst);

@@ -64,7 +64,7 @@ class ShardWorkerGroup {
   };
 
   void EnsureHelpers(unsigned count);
-  void HelperLoop(unsigned index, uint64_t initial_epoch);
+  void HelperLoop(Helper& self, unsigned index, uint64_t initial_epoch);
   void RunStripe(unsigned member);
 
   // Barrier protocol (all epoch/flag accesses seq_cst — the Dekker-style

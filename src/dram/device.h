@@ -62,6 +62,10 @@ class DramDevice {
   // answer "any bank open?" without scanning.
   uint64_t OpenBankMask(uint32_t rank) const { return timing_.OpenBankMask(rank); }
 
+  // The timing state behind Check/EarliestCycle/OpenRow (read-only; the
+  // scheduler check snapshots it).
+  const TimingChecker& timing() const { return timing_; }
+
   // --- Data plane ----------------------------------------------------------
 
   // Reads/writes the representative word of a line. These model the data

@@ -19,6 +19,15 @@ MemoryController::MemoryController(const DramConfig& dram_config, const McConfig
   for (uint32_t c = 0; c < channels; ++c) {
     devices_.push_back(std::make_unique<DramDevice>(dram_config_, c));
     act_counters_.push_back(std::make_unique<ActCounter>(c, config_.act_counter));
+    ChannelState& channel = channels_[c];
+    channel.slots.resize(config_.queue_capacity);
+    channel.free_slots.reserve(config_.queue_capacity);
+    for (uint32_t slot = config_.queue_capacity; slot-- > 0;) {
+      channel.free_slots.push_back(slot);
+    }
+    // Bank-granular bitmasks (pending_banks, the drain mask) assume
+    // ranks * banks <= 64, as the timing checker and refresh slots do.
+    channel.banks.resize(static_cast<size_t>(dram_config_.org.ranks) * dram_config_.org.banks);
     if (per_bank) {
       // One due-clock per (rank, bank), staggered so REFsb commands spread
       // evenly instead of bursting.
@@ -81,7 +90,7 @@ uint32_t MemoryController::EffectiveBlast() const {
 bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   const DdrCoord coord = mapper_.Map(request.addr);
   ChannelState& channel = channels_[coord.channel];
-  if (channel.queue.size() >= config_.queue_capacity) {
+  if (channel.queued >= config_.queue_capacity) {
     c_enqueue_rejected_->Increment();
     return false;
   }
@@ -94,9 +103,32 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
       c_domain_group_violations_->Increment();
     }
   }
-  MemRequest stamped = request;
-  stamped.enqueue_cycle = now;
-  channel.queue.push_back({stamped, coord, false});
+  const uint32_t slot = channel.free_slots.back();
+  channel.free_slots.pop_back();
+  PendingRequest& pending = channel.slots[slot];
+  pending.request = request;
+  pending.request.enqueue_cycle = now;
+  pending.coord = coord;
+  pending.seq = channel.next_seq++;
+  pending.counted = false;
+  // Append to the bank's age-ordered list; a hit on the summary's row
+  // extends the summary in place (it stays the oldest only if none was).
+  const uint32_t bank_slot = coord.rank * dram_config_.org.banks + coord.bank;
+  BankQueue& bank = channel.banks[bank_slot];
+  pending.prev = bank.tail;
+  pending.next = kNoSlot;
+  if (bank.tail != kNoSlot) {
+    channel.slots[bank.tail].next = slot;
+  } else {
+    bank.head = slot;
+  }
+  bank.tail = slot;
+  uint32_t& oldest_hit = bank.hit[static_cast<size_t>(request.op)];
+  if (coord.row == bank.key_row && oldest_hit == kNoSlot) {
+    oldest_hit = slot;
+  }
+  channel.pending_banks |= 1ull << bank_slot;
+  ++channel.queued;
   if (request.op == MemOp::kRead) {
     ++channel.queued_reads;
   } else {
@@ -406,7 +438,7 @@ bool MemoryController::TryInternalOps(uint32_t channel_index, Cycle now, Cycle& 
 
 bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& retry) {
   ChannelState& channel = channels_[channel_index];
-  if (channel.queue.empty()) {
+  if (channel.queued == 0) {
     return false;  // retry stays kNeverCycle: an enqueue resets the memo.
   }
   if (now < channel.next_sched) {
@@ -416,98 +448,29 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
     retry = channel.next_sched;
     return false;
   }
-  DramDevice& device = *devices_[channel_index];
-  // Earliest cycle any candidate blocked purely by timing becomes legal.
-  Cycle block = kNeverCycle;
-  // A throttled candidate was seen: ActAllowedAt counts throttle events
-  // per scanned cycle, so the scan must rerun every cycle to stay exact.
-  bool unstable = false;
-
-  // Ranks (or, in per-bank mode, individual banks) with an overdue REF
-  // are draining: starting new row activity there would starve the
-  // refresh manager (and eventually retention).
-  const bool per_bank = dram_config_.retention.per_bank_refresh;
-  uint64_t draining = 0;
-  for (uint32_t slot = 0; slot < channel.ref_due.size(); ++slot) {
-    if (now >= channel.ref_due[slot]) {
-      draining |= 1ull << slot;
-    }
+  if (sched_check_ != nullptr) [[unlikely]] {
+    SnapshotScan(channel_index, now);
   }
-  const uint32_t banks = dram_config_.org.banks;
-  const auto rank_draining = [draining, per_bank, banks](uint32_t rank) {
-    if (!per_bank) {
-      return (draining & (1ull << rank)) != 0;
-    }
-    // In per-bank mode a draining bank does not drain its whole rank.
+  uint32_t slot = kNoSlot;
+  const SchedPick pick = PickRequestCommand(channel_index, now, slot);
+  if (sched_check_ != nullptr) [[unlikely]] {
+    sched_check_->OnScan(sched_scan_, pick);
+  }
+  if (pick.kind == SchedPick::Kind::kNone) {
+    channel.next_sched = pick.next_sched;
+    retry = channel.next_sched;
     return false;
-  };
-  const auto bank_draining = [draining, per_bank, banks](uint32_t rank, uint32_t bank) {
-    if (!per_bank) {
-      return false;
-    }
-    return (draining & (1ull << (rank * banks + bank))) != 0;
-  };
-
-  // Pass 1 (FR): oldest row-hit whose RD/WR is legal now.
-  for (size_t i = 0; i < channel.queue.size(); ++i) {
-    PendingRequest& pending = channel.queue[i];
-    const auto open_row = device.OpenRow(pending.coord.rank, pending.coord.bank);
-    if (rank_draining(pending.coord.rank) ||
-        bank_draining(pending.coord.rank, pending.coord.bank) || !open_row.has_value() ||
-        *open_row != pending.coord.row) {
-      continue;
-    }
-    const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
-    const DdrCommand cmd = pending.request.op == MemOp::kRead
-                               ? DdrCommand::Rd(pending.coord.rank, pending.coord.bank,
-                                                pending.coord.column, ap)
-                               : DdrCommand::Wr(pending.coord.rank, pending.coord.bank,
-                                                pending.coord.column, ap);
-    if (device.Check(cmd, now) == TimingVerdict::kOk) {
-      device.Issue(cmd, now);
+  }
+  devices_[channel_index]->Issue(pick.cmd, now);
+  PendingRequest& pending = channel.slots[slot];
+  switch (pick.kind) {
+    case SchedPick::Kind::kHit:
       if (!pending.counted) {
         ++channel.counters.row_hits;  // Served without its own ACT.
       }
-      IssueRequestAccess(channel_index, i, now);
-      channel.next_sched = 0;
-      return true;
-    }
-    block = std::min(block, device.EarliestCycle(cmd));
-  }
-
-  // Pass 2 (FCFS): oldest request to a closed bank — ACT (unless throttled).
-  // Track banks already claimed by an older request so a younger request
-  // cannot steal the bank.
-  uint64_t claimed_banks = 0;
-  for (size_t i = 0; i < channel.queue.size(); ++i) {
-    PendingRequest& pending = channel.queue[i];
-    const uint64_t bank_bit = 1ULL
-                              << (pending.coord.rank * dram_config_.org.banks + pending.coord.bank);
-    if ((claimed_banks & bank_bit) != 0) {
-      continue;
-    }
-    claimed_banks |= bank_bit;
-    if (rank_draining(pending.coord.rank) ||
-        bank_draining(pending.coord.rank, pending.coord.bank)) {
-      continue;
-    }
-    const auto open_row = device.OpenRow(pending.coord.rank, pending.coord.bank);
-    if (open_row.has_value()) {
-      continue;  // Handled in pass 3.
-    }
-    if (mitigation_ != nullptr) {
-      const Cycle allowed = mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank,
-                                                      pending.coord.row, now);
-      if (allowed > now) {
-        c_throttle_stalls_->Increment();
-        unstable = true;
-        continue;
-      }
-    }
-    const DdrCommand act =
-        DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
-    if (device.Check(act, now) == TimingVerdict::kOk) {
-      device.Issue(act, now);
+      IssueRequestAccess(channel_index, slot, now);
+      break;
+    case SchedPick::Kind::kAct:
       if (!pending.counted) {
         ++channel.counters.row_misses;
         pending.counted = true;
@@ -515,58 +478,258 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
                                                pending.request.is_dma, now);
       NotifyMitigationActivate(pending.coord, now);
-      channel.next_sched = 0;
-      return true;
-    }
-    block = std::min(block, device.EarliestCycle(act));
-  }
-
-  // Pass 3: oldest conflicting request — PRE the bank if no older request
-  // still wants the open row.
-  for (size_t i = 0; i < channel.queue.size(); ++i) {
-    PendingRequest& pending = channel.queue[i];
-    const auto open_row = device.OpenRow(pending.coord.rank, pending.coord.bank);
-    if (!open_row.has_value() || *open_row == pending.coord.row) {
-      continue;
-    }
-    bool older_wants_open_row = false;
-    for (size_t j = 0; j < i; ++j) {
-      const PendingRequest& other = channel.queue[j];
-      if (other.coord.rank == pending.coord.rank && other.coord.bank == pending.coord.bank &&
-          other.coord.row == *open_row) {
-        older_wants_open_row = true;
-        break;
-      }
-    }
-    if (older_wants_open_row) {
-      continue;
-    }
-    const DdrCommand pre = DdrCommand::Pre(pending.coord.rank, pending.coord.bank);
-    if (device.Check(pre, now) == TimingVerdict::kOk) {
-      device.Issue(pre, now);
+      break;
+    case SchedPick::Kind::kPre:
       if (!pending.counted) {
         ++channel.counters.row_conflicts;
         pending.counted = true;
       }
-      channel.next_sched = 0;
-      return true;
-    }
-    block = std::min(block, device.EarliestCycle(pre));
+      break;
+    case SchedPick::Kind::kNone:
+      break;
   }
-  // Nothing issued. Candidates filtered for non-timing reasons (draining
-  // ranks, claimed banks, an older request pinning an open row) can only
-  // unblock via a state change, which resets next_sched; timing-blocked
-  // candidates unblock at `block`.
-  channel.next_sched = unstable ? now + 1 : std::max(block, now + 1);
-  retry = channel.next_sched;
-  return false;
+  channel.next_sched = 0;
+  return true;
 }
 
-void MemoryController::IssueRequestAccess(uint32_t channel_index, size_t queue_index, Cycle now) {
+void MemoryController::RefreshBankSummary(ChannelState& channel, BankQueue& bank,
+                                          uint32_t open_row) {
+  if (bank.key_row == open_row) {
+    return;  // Enqueues and issues keep a keyed summary current.
+  }
+  bank.key_row = open_row;
+  bank.hit = {kNoSlot, kNoSlot};
+  for (uint32_t slot = bank.head; slot != kNoSlot; slot = channel.slots[slot].next) {
+    const PendingRequest& pending = channel.slots[slot];
+    uint32_t& oldest_hit = bank.hit[static_cast<size_t>(pending.request.op)];
+    if (pending.coord.row == open_row && oldest_hit == kNoSlot) {
+      oldest_hit = slot;
+      if (bank.hit[0] != kNoSlot && bank.hit[1] != kNoSlot) {
+        return;
+      }
+    }
+  }
+}
+
+SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now,
+                                               uint32_t& picked_slot) {
+  ChannelState& channel = channels_[channel_index];
+  const DramDevice& device = *devices_[channel_index];
+  const uint32_t banks = dram_config_.org.banks;
+  SchedPick pick;
+  // Earliest cycle any candidate blocked purely by timing becomes legal.
+  Cycle block = kNeverCycle;
+  // A throttled candidate was seen: ActAllowedAt counts throttle events
+  // per scanned cycle, so the scan must rerun every cycle to stay exact.
+  bool unstable = false;
+
+  // Banks with an overdue REF on their rank (or, with REFsb, on the bank
+  // itself) are draining: starting new row activity there would starve
+  // the refresh manager (and eventually retention).
+  uint64_t draining = 0;
+  if (dram_config_.retention.per_bank_refresh) {
+    for (uint32_t slot = 0; slot < channel.ref_due.size(); ++slot) {
+      if (now >= channel.ref_due[slot]) {
+        draining |= 1ull << slot;
+      }
+    }
+  } else {
+    const uint64_t rank_banks = banks >= 64 ? ~0ull : (1ull << banks) - 1;
+    for (uint32_t rank = 0; rank < channel.ref_due.size(); ++rank) {
+      if (now >= channel.ref_due[rank]) {
+        draining |= rank_banks << (rank * banks);
+      }
+    }
+  }
+
+  // One walk over the banks with queued work gathers every pass's
+  // candidates. Each is structurally legal (hits target open banks, ACTs
+  // closed ones, PRE has no precondition), so Check(cmd, now) == kOk
+  // reduces to EarliestCycle(cmd) <= now and one call serves both uses.
+  // A blocked candidate folds its cycle into `block`, which only matters
+  // when no pass issues.
+  //
+  //  * Pass 1 (FR) wants the oldest legal row hit. The timing checker
+  //    ignores the column (and auto-precharge), so one verdict per
+  //    (bank, RD|WR) covers every such hit, and only the oldest can win.
+  //  * Pass 2 (FCFS) wants an ACT for a closed bank's oldest request; a
+  //    bank's younger requests never claim it.
+  //  * Pass 3 wants a PRE for a bank whose oldest request conflicts with
+  //    its open row. A younger conflict never precharges under an older
+  //    hit, so only the oldest request can be the one a PRE serves.
+  //    Draining banks take part: closing rows is what draining waits for.
+  uint32_t hit_slot = kNoSlot;
+  DdrCommand hit_cmd;
+  uint32_t pre_slot = kNoSlot;
+  // Closed-bank candidates packed as (oldest seq << 6) | bank, so sorting
+  // them orders by age.
+  std::array<uint64_t, 64> closed;
+  size_t closed_count = 0;
+  const auto older = [&channel](uint32_t slot, uint32_t than) {
+    return than == kNoSlot || channel.slots[slot].seq < channel.slots[than].seq;
+  };
+  for (uint64_t mask = channel.pending_banks; mask != 0; mask &= mask - 1) {
+    const uint32_t b = static_cast<uint32_t>(__builtin_ctzll(mask));
+    const uint32_t rank = b / banks;
+    const uint32_t bank_index = b % banks;
+    BankQueue& bank = channel.banks[b];
+    const bool drains = (draining >> b) & 1;
+    const auto open_row = device.OpenRow(rank, bank_index);
+    if (!open_row.has_value()) {
+      if (!drains) {
+        closed[closed_count++] = (channel.slots[bank.head].seq << 6) | b;
+      }
+      continue;
+    }
+    if (!drains) {
+      RefreshBankSummary(channel, bank, *open_row);
+      for (const uint32_t slot : bank.hit) {
+        if (slot == kNoSlot) {
+          continue;
+        }
+        const PendingRequest& pending = channel.slots[slot];
+        const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
+        const DdrCommand cmd =
+            pending.request.op == MemOp::kRead
+                ? DdrCommand::Rd(rank, bank_index, pending.coord.column, ap)
+                : DdrCommand::Wr(rank, bank_index, pending.coord.column, ap);
+        const Cycle earliest = device.EarliestCycle(cmd);
+        if (earliest > now) {
+          block = std::min(block, earliest);
+        } else if (older(slot, hit_slot)) {
+          hit_slot = slot;
+          hit_cmd = cmd;
+        }
+      }
+    }
+    if (channel.slots[bank.head].coord.row != *open_row) {
+      const Cycle earliest = device.EarliestCycle(DdrCommand::Pre(rank, bank_index));
+      if (earliest > now) {
+        block = std::min(block, earliest);
+      } else if (older(bank.head, pre_slot)) {
+        pre_slot = bank.head;
+      }
+    }
+  }
+  if (hit_slot != kNoSlot) {
+    pick.kind = SchedPick::Kind::kHit;
+    pick.seq = channel.slots[hit_slot].seq;
+    pick.cmd = hit_cmd;
+    picked_slot = hit_slot;
+    return pick;
+  }
+
+  // Pass 2 offers closed banks in age order of their oldest request and
+  // stops at the first legal ACT, because the mitigation's gate counts
+  // every throttled query.
+  std::sort(closed.begin(), closed.begin() + static_cast<ptrdiff_t>(closed_count));
+  for (size_t i = 0; i < closed_count; ++i) {
+    const uint32_t slot = channel.banks[closed[i] & 63].head;
+    const PendingRequest& pending = channel.slots[slot];
+    if (mitigation_ != nullptr) {
+      const Cycle allowed = mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank,
+                                                      pending.coord.row, now);
+      if (sched_check_ != nullptr) [[unlikely]] {
+        sched_scan_.act_queries.push_back(
+            {pending.coord.rank, pending.coord.bank, pending.coord.row, allowed});
+      }
+      if (allowed > now) {
+        c_throttle_stalls_->Increment();
+        ++pick.throttle_stalls;
+        unstable = true;
+        continue;
+      }
+    }
+    const DdrCommand act =
+        DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
+    const Cycle earliest = device.EarliestCycle(act);
+    if (earliest <= now) {
+      pick.kind = SchedPick::Kind::kAct;
+      pick.seq = pending.seq;
+      pick.cmd = act;
+      picked_slot = slot;
+      return pick;
+    }
+    block = std::min(block, earliest);
+  }
+
+  if (pre_slot != kNoSlot) {
+    const PendingRequest& pending = channel.slots[pre_slot];
+    pick.kind = SchedPick::Kind::kPre;
+    pick.seq = pending.seq;
+    pick.cmd = DdrCommand::Pre(pending.coord.rank, pending.coord.bank);
+    picked_slot = pre_slot;
+    return pick;
+  }
+  // Nothing issues. Candidates filtered for non-timing reasons (draining
+  // banks, a bank's younger requests, an older hit pinning an open row)
+  // can only unblock via a state change, which resets next_sched;
+  // timing-blocked candidates unblock at `block`.
+  pick.next_sched = unstable ? now + 1 : std::max(block, now + 1);
+  return pick;
+}
+
+void MemoryController::SnapshotScan(uint32_t channel_index, Cycle now) {
+  const ChannelState& channel = channels_[channel_index];
+  SchedScan& scan = sched_scan_;
+  scan.channel = channel_index;
+  scan.now = now;
+  scan.open_page = config_.open_page;
+  scan.per_bank_refresh = dram_config_.retention.per_bank_refresh;
+  scan.banks = dram_config_.org.banks;
+  scan.due_slots = 0;
+  for (uint32_t slot = 0; slot < channel.ref_due.size(); ++slot) {
+    if (now >= channel.ref_due[slot]) {
+      scan.due_slots |= 1ull << slot;
+    }
+  }
+  scan.gated = mitigation_ != nullptr;
+  scan.queue.clear();
+  for (uint64_t mask = channel.pending_banks; mask != 0; mask &= mask - 1) {
+    const BankQueue& bank = channel.banks[static_cast<size_t>(__builtin_ctzll(mask))];
+    for (uint32_t slot = bank.head; slot != kNoSlot; slot = channel.slots[slot].next) {
+      const PendingRequest& pending = channel.slots[slot];
+      scan.queue.push_back({pending.seq, pending.coord, pending.request.op});
+    }
+  }
+  std::sort(scan.queue.begin(), scan.queue.end(),
+            [](const SchedRequestView& a, const SchedRequestView& b) { return a.seq < b.seq; });
+  scan.timing = devices_[channel_index]->timing();
+  scan.act_queries.clear();
+}
+
+void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t slot, Cycle now) {
   ChannelState& channel = channels_[channel_index];
   DramDevice& device = *devices_[channel_index];
-  PendingRequest pending = std::move(channel.queue[queue_index]);
-  channel.queue.erase(channel.queue.begin() + static_cast<ptrdiff_t>(queue_index));
+  const PendingRequest pending = channel.slots[slot];
+  // Unlink from the bank's list. The request was its bank's oldest hit of
+  // its kind, so the summary's next one is the first younger match.
+  BankQueue& bank = channel.banks[pending.coord.rank * dram_config_.org.banks + pending.coord.bank];
+  if (pending.prev != kNoSlot) {
+    channel.slots[pending.prev].next = pending.next;
+  } else {
+    bank.head = pending.next;
+  }
+  if (pending.next != kNoSlot) {
+    channel.slots[pending.next].prev = pending.prev;
+  } else {
+    bank.tail = pending.prev;
+  }
+  uint32_t& oldest_hit = bank.hit[static_cast<size_t>(pending.request.op)];
+  if (oldest_hit == slot) {
+    oldest_hit = pending.next;
+    while (oldest_hit != kNoSlot &&
+           (channel.slots[oldest_hit].request.op != pending.request.op ||
+            channel.slots[oldest_hit].coord.row != bank.key_row)) {
+      oldest_hit = channel.slots[oldest_hit].next;
+    }
+  }
+  if (bank.head == kNoSlot) {
+    channel.pending_banks &= ~(1ull << (pending.coord.rank * dram_config_.org.banks +
+                                        pending.coord.bank));
+  }
+  channel.free_slots.push_back(slot);
+  --channel.queued;
   if (pending.request.op == MemOp::kRead) {
     --channel.queued_reads;
   } else {
@@ -611,9 +774,9 @@ void MemoryController::NotifyMitigationActivate(const DdrCoord& coord, Cycle now
   if (mitigation_ == nullptr) {
     return;
   }
-  std::vector<NeighborRefreshRequest> refreshes;
-  mitigation_->OnActivate(coord.rank, coord.bank, coord.row, now, refreshes);
-  for (const NeighborRefreshRequest& refresh : refreshes) {
+  refresh_scratch_.clear();
+  mitigation_->OnActivate(coord.rank, coord.bank, coord.row, now, refresh_scratch_);
+  for (const NeighborRefreshRequest& refresh : refresh_scratch_) {
     EnqueueNeighborRefresh(refresh, coord.channel, now);
   }
 }
@@ -684,7 +847,7 @@ Cycle MemoryController::NextWake(Cycle now) const {
       continue;
     }
     // Legacy: queued work may retry a blocked command every cycle.
-    if (!channel.queue.empty() || !channel.internal_ops.empty()) {
+    if (channel.queued != 0 || !channel.internal_ops.empty()) {
       return now;
     }
     for (const Cycle due : channel.ref_due) {
@@ -761,6 +924,7 @@ Cycle MemoryController::ShardHorizon(Cycle now) const {
   // tables on every ACT, armed ACT interrupts call back into the CPU
   // layer, and refresh-done callbacks must fire on the caller thread.
   if (!config_.event_driven || !config_.shard_channels || mitigation_ != nullptr ||
+      sched_check_ != nullptr ||
       (config_.act_counter.enabled && act_handler_set_) || pending_done_callbacks_ != 0) {
     return now;
   }
@@ -961,7 +1125,7 @@ void MemoryController::RunShardMembers(uint32_t n, unsigned width, Cycle from, C
 
 bool MemoryController::Idle() const {
   for (const ChannelState& channel : channels_) {
-    if (!channel.queue.empty() || !channel.internal_ops.empty() || !channel.in_flight.empty()) {
+    if (channel.queued != 0 || !channel.internal_ops.empty() || !channel.in_flight.empty()) {
       return false;
     }
   }
@@ -971,7 +1135,7 @@ bool MemoryController::Idle() const {
 size_t MemoryController::QueuedRequests() const {
   size_t total = 0;
   for (const ChannelState& channel : channels_) {
-    total += channel.queue.size();
+    total += channel.queued;
   }
   return total;
 }

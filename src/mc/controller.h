@@ -12,13 +12,17 @@
 //     software a direct, reliable row refresh. REF_NEIGHBORS(pa, b) is the
 //     optional DRAM-assisted variant.
 //
-// Baseline scheduling is FR-FCFS over per-channel queues with an
-// open-page row-buffer policy and a rank-level refresh manager. Hardware
-// mitigation baselines (PARA/Graphene/TWiCe/BlockHammer) plug in via the
-// McMitigation interface and are driven on every ACT.
+// Baseline scheduling is FR-FCFS with an open-page row-buffer policy and a
+// rank-level refresh manager. Each channel keeps its requests in a fixed
+// slab with one age-ordered list per bank, so a scheduling scan costs
+// O(banks with queued work) rather than O(queue): per bank it needs only
+// the oldest request and the oldest RD/WR row hit (cached per open row).
+// Hardware mitigation baselines (PARA/Graphene/TWiCe/BlockHammer) plug in
+// via the McMitigation interface and are driven on every ACT.
 #ifndef HAMMERTIME_SRC_MC_CONTROLLER_H_
 #define HAMMERTIME_SRC_MC_CONTROLLER_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -36,6 +40,7 @@
 #include "mc/addrmap.h"
 #include "mc/mitigations.h"
 #include "mc/request.h"
+#include "mc/sched_hooks.h"
 
 namespace ht {
 
@@ -196,6 +201,11 @@ class MemoryController {
   const McConfig& config() const { return config_; }
   const DramConfig& dram_config() const { return dram_config_; }
 
+  // Attach (or detach with nullptr) a scheduler check observer (see
+  // mc/sched_hooks.h): it receives a pre-scan snapshot and the pick of
+  // every request scan. Attached runs never take the sharded path.
+  void set_sched_check_observer(SchedulerCheckObserver* check) { sched_check_ = check; }
+
   // Attach (or detach with nullptr) a trace buffer; propagates to every
   // channel's device and ACT counter, so all DDR commands, flips, TRR
   // repairs, interrupts, and epoch rollovers land in one buffer.
@@ -205,10 +215,29 @@ class MemoryController {
   uint64_t TotalFlipEvents() const;
 
  private:
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr uint32_t kNoRow = 0xFFFFFFFFu;
+
+  // One request-slab entry. `seq` is the channel's enqueue counter at
+  // enqueue time, so ascending seq is queue (age) order.
   struct PendingRequest {
     MemRequest request;
     DdrCoord coord;
-    bool counted = false;  // Row-hit/miss/conflict already classified.
+    uint64_t seq = 0;
+    uint32_t prev = kNoSlot;  // Neighbours in the bank's age-ordered list.
+    uint32_t next = kNoSlot;
+    bool counted = false;     // Row-hit/miss/conflict already classified.
+  };
+
+  // A bank's queued requests (an age-ordered list through the slab) and
+  // its FR summary: the oldest RD and WR to `key_row`. Enqueues and issues
+  // keep the summary exact for its key; a scan that finds the bank's open
+  // row differs from the key rebuilds it by walking the list.
+  struct BankQueue {
+    uint32_t head = kNoSlot;  // Oldest request.
+    uint32_t tail = kNoSlot;
+    uint32_t key_row = kNoRow;
+    std::array<uint32_t, 2> hit = {kNoSlot, kNoSlot};  // Indexed by MemOp.
   };
 
   enum class InternalOpKind : uint8_t {
@@ -260,7 +289,12 @@ class MemoryController {
   // Cache-line aligned so two channels advanced on different threads
   // never false-share a line through their hot scheduler fields.
   struct alignas(64) ChannelState {
-    std::deque<PendingRequest> queue;
+    std::vector<PendingRequest> slots;  // queue_capacity entries.
+    std::vector<uint32_t> free_slots;   // Stack of unused slot indices.
+    std::vector<BankQueue> banks;       // ranks * banks (<= 64).
+    uint64_t pending_banks = 0;         // Bit per bank with queued requests.
+    uint32_t queued = 0;
+    uint64_t next_seq = 0;
     std::deque<InternalOp> internal_ops;
     std::vector<Cycle> ref_due;  // Per rank.
     std::priority_queue<InFlightRead, std::vector<InFlightRead>, std::greater<>> in_flight;
@@ -311,7 +345,16 @@ class MemoryController {
   bool TryRefreshManager(uint32_t channel, Cycle now, Cycle& retry);
   bool TryInternalOps(uint32_t channel, Cycle now, Cycle& retry);
   bool TryRequests(uint32_t channel, Cycle now, Cycle& retry);
-  void IssueRequestAccess(uint32_t channel, size_t queue_index, Cycle now);
+  // FR-FCFS selection over the per-bank lists; sets `slot` to the picked
+  // request. Issues nothing itself but does query (and count) the
+  // mitigation's ACT gate.
+  SchedPick PickRequestCommand(uint32_t channel, Cycle now, uint32_t& slot);
+  // Rekeys a bank's row-hit summary to `open_row` if it is keyed to
+  // another row.
+  void RefreshBankSummary(ChannelState& channel, BankQueue& bank, uint32_t open_row);
+  // Fills sched_scan_ with the pre-scan state for the check observer.
+  void SnapshotScan(uint32_t channel, Cycle now);
+  void IssueRequestAccess(uint32_t channel, uint32_t slot, Cycle now);
   void DrainCompletions(uint32_t channel, Cycle now);
   void NotifyMitigationActivate(const DdrCoord& coord, Cycle now);
   // Expands a neighbour-refresh request into internal ops.
@@ -331,6 +374,10 @@ class MemoryController {
   uint64_t epoch_index_ = 0;  // Refresh windows completed (trace only).
   StatSet stats_;
   TraceBuffer* trace_ = nullptr;
+  SchedulerCheckObserver* sched_check_ = nullptr;
+  SchedScan sched_scan_;  // Reused snapshot while an observer is attached.
+  // Reused by NotifyMitigationActivate, so an ACT allocates nothing.
+  std::vector<NeighborRefreshRequest> refresh_scratch_;
 
   // Interned stat handles (resolved once in the constructor; see
   // common/stats.h for lifetime rules).

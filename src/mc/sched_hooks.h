@@ -1,0 +1,74 @@
+// Differential-checking hook on the FR-FCFS request scheduler.
+//
+// src/check/sched_ref.h implements this interface with the reference
+// three-pass queue scan and attaches it via
+// MemoryController::set_sched_check_observer(). The interface lives in mc/
+// (not check/) so the controller never depends on the library that
+// verifies it. A detached observer costs one predictable branch per scan.
+#ifndef HAMMERTIME_SRC_MC_SCHED_HOOKS_H_
+#define HAMMERTIME_SRC_MC_SCHED_HOOKS_H_
+
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "common/types.h"
+#include "dram/command.h"
+#include "dram/timing.h"
+#include "mc/request.h"
+
+namespace ht {
+
+// One queued request as the scan saw it.
+struct SchedRequestView {
+  uint64_t seq = 0;  // Enqueue order within the channel.
+  DdrCoord coord;
+  MemOp op = MemOp::kRead;
+};
+
+// One McMitigation::ActAllowedAt call the scan made, with its answer.
+struct SchedActQuery {
+  uint32_t rank = 0;
+  uint32_t bank = 0;
+  uint32_t row = 0;
+  Cycle allowed = 0;
+};
+
+// Everything a request scan reads, captured before it runs.
+struct SchedScan {
+  uint32_t channel = 0;
+  Cycle now = 0;
+  bool open_page = true;
+  bool per_bank_refresh = false;
+  uint32_t banks = 0;           // Banks per rank.
+  uint64_t due_slots = 0;       // Bit per refresh slot (rank, or rank*banks+bank) due at `now`.
+  bool gated = false;           // A mitigation answers ActAllowedAt.
+  std::vector<SchedRequestView> queue;  // Age order, oldest first.
+  std::optional<TimingChecker> timing;  // Device timing and open rows.
+  // The gate's answers, in call order. Filled during the scan, so a
+  // reference replays them instead of calling the mitigation twice.
+  std::vector<SchedActQuery> act_queries;
+};
+
+// A scan's outcome.
+struct SchedPick {
+  enum class Kind : uint8_t { kNone, kHit, kAct, kPre };
+  Kind kind = Kind::kNone;
+  uint64_t seq = 0;             // Request the command serves or is attributed to.
+  DdrCommand cmd;               // Valid unless kNone.
+  Cycle next_sched = 0;         // kNone only: the scan memo it records.
+  uint64_t throttle_stalls = 0; // Gate answers later than `now`.
+};
+
+class SchedulerCheckObserver {
+ public:
+  virtual ~SchedulerCheckObserver() = default;
+
+  // Called after every request scan that ran (memo hits do not scan),
+  // before the picked command issues.
+  virtual void OnScan(const SchedScan& scan, const SchedPick& pick) = 0;
+};
+
+}  // namespace ht
+
+#endif  // HAMMERTIME_SRC_MC_SCHED_HOOKS_H_

@@ -2,10 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#include "dram/check_hooks.h"
 
 namespace ht {
 namespace {
+
+// Records every command the device accepted, in issue order.
+class CommandLog final : public DeviceCheckObserver {
+ public:
+  struct Entry {
+    DdrCommand cmd;
+    Cycle at = 0;
+  };
+
+  void OnCommand(const DdrCommand&, Cycle, TimingVerdict, uint32_t) override {}
+  void OnRepair(uint32_t, uint32_t, uint32_t, Cycle) override {}
+  void OnFlip(uint32_t, uint32_t, uint32_t, uint32_t, Cycle) override {}
+  void OnCommandApplied(const DdrCommand& cmd, Cycle now) override {
+    entries.push_back({cmd, now});
+  }
+
+  // Index of the first command at or after `from` with this type (and,
+  // for bank-addressed commands, this bank); entries.size() if none.
+  size_t Find(DdrCommandType type, uint32_t bank, size_t from = 0) const {
+    for (size_t i = from; i < entries.size(); ++i) {
+      const DdrCommand& cmd = entries[i].cmd;
+      const bool rank_wide =
+          type == DdrCommandType::kPrechargeAll || type == DdrCommandType::kRefresh;
+      if (cmd.type == type && (rank_wide || cmd.bank == bank)) {
+        return i;
+      }
+    }
+    return entries.size();
+  }
+
+  // Index of the first command at or after `from` on `bank` (any type).
+  size_t FindBank(uint32_t bank, size_t from) const {
+    for (size_t i = from; i < entries.size(); ++i) {
+      if (entries[i].cmd.bank == bank && entries[i].cmd.type != DdrCommandType::kPrechargeAll &&
+          entries[i].cmd.type != DdrCommandType::kRefresh) {
+        return i;
+      }
+    }
+    return entries.size();
+  }
+
+  std::vector<Entry> entries;
+};
 
 class ControllerTest : public ::testing::Test {
  protected:
@@ -15,6 +61,22 @@ class ControllerTest : public ::testing::Test {
     mc_ = std::make_unique<MemoryController>(dram, mc_config);
     responses_.clear();
     mc_->set_response_handler([this](const MemResponse& r) { responses_.push_back(r); });
+    log_.entries.clear();
+    mc_->device(0).set_check_observer(&log_);
+  }
+
+  // Ticks until the device has accepted `count` commands in total.
+  void RunUntilCommands(size_t count) {
+    const Cycle limit = now_ + 100000;
+    while (log_.entries.size() < count && now_ < limit) {
+      mc_->Tick(now_++);
+    }
+    ASSERT_GE(log_.entries.size(), count);
+  }
+
+  // Address of (rank, bank, row, column) on channel 0.
+  PhysAddr At(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column) const {
+    return mc_->mapper().AddrOf(DdrCoord{0, rank, bank, row, column});
   }
 
   void RunFor(Cycle cycles) {
@@ -42,6 +104,7 @@ class ControllerTest : public ::testing::Test {
 
   std::unique_ptr<MemoryController> mc_;
   std::vector<MemResponse> responses_;
+  CommandLog log_;
   Cycle now_ = 0;
   uint64_t next_id_ = 1;
 };
@@ -275,6 +338,264 @@ TEST_F(ControllerTest, MitigationRefreshRequestsExecuted) {
   EXPECT_GT(mc_->stats().Get("mc.mitigation_refreshes"), 0u);
   // 1 request ACT + up to 2*blast neighbour refresh ACTs.
   EXPECT_GT(mc_->device(0).stats().Get("dram.acts"), 1u);
+}
+
+// --- FR-FCFS priority ---------------------------------------------------------
+//
+// Default timing: after a RD at t, the next RD is legal at t+tCCD (t+6) but
+// a WR waits for the data bus to turn around (t+tCL+tBL-tCWL = t+8); after
+// a WR at t, the next WR is legal at t+6 but a RD waits for tWTR
+// (t+tCWL+tBL+tWTR = t+25). Refresh is first due at cycle RefPeriod (8192).
+
+TEST_F(ControllerTest, YoungerLegalReadHitOvertakesOlderWriteHitBlockedByTurnaround) {
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(200);  // Row 5 of bank 0 is open and idle.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 1)), now_));
+  RunUntilCommands(3);  // ACT, RD, and the priming RD hit.
+  const size_t primed = log_.entries.size();
+  ASSERT_EQ(log_.entries.back().cmd.type, DdrCommandType::kRead);
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 0, 5, 2), 7), now_));  // Older.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 3)), now_));      // Younger.
+  RunFor(100);
+  ASSERT_GE(log_.entries.size(), primed + 2);
+  EXPECT_EQ(log_.entries[primed].cmd.type, DdrCommandType::kRead);
+  EXPECT_EQ(log_.entries[primed].cmd.column, 3u);
+  EXPECT_EQ(log_.entries[primed + 1].cmd.type, DdrCommandType::kWrite);
+  EXPECT_EQ(log_.entries[primed + 1].cmd.column, 2u);
+  EXPECT_EQ(mc_->stats().Get("mc.row_hits"), 3u);
+}
+
+TEST_F(ControllerTest, YoungerLegalWriteHitOvertakesOlderReadHitBlockedByTwtr) {
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(200);
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 0, 5, 1), 1), now_));
+  RunUntilCommands(3);
+  const size_t primed = log_.entries.size();
+  ASSERT_EQ(log_.entries.back().cmd.type, DdrCommandType::kWrite);
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 2)), now_));      // Older.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 0, 5, 3), 9), now_));  // Younger.
+  RunFor(100);
+  ASSERT_GE(log_.entries.size(), primed + 2);
+  EXPECT_EQ(log_.entries[primed].cmd.type, DdrCommandType::kWrite);
+  EXPECT_EQ(log_.entries[primed].cmd.column, 3u);
+  EXPECT_EQ(log_.entries[primed + 1].cmd.type, DdrCommandType::kRead);
+  EXPECT_EQ(log_.entries[primed + 1].cmd.column, 2u);
+  const DramTiming& t = mc_->dram_config().timing;
+  EXPECT_EQ(log_.entries[primed + 1].at, log_.entries[primed].at + t.tCWL + t.tBL + t.tWTR);
+}
+
+TEST_F(ControllerTest, PrechargeServesOldestConflictAheadOfYoungerBlockedHit) {
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(200);  // Bank 0 holds row 5 open; tRAS has long passed.
+  // A WR on another bank of the rank blocks every RD for tWTR.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 1, 9, 0), 1), now_));
+  RunUntilCommands(4);
+  ASSERT_EQ(log_.entries.back().cmd.type, DdrCommandType::kWrite);
+  const size_t primed = log_.entries.size();
+  const Cycle write_at = log_.entries.back().at;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 6, 0)), now_));  // Oldest: conflicts.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 1)), now_));  // Younger: a hit.
+  RunFor(300);
+  const size_t first = log_.FindBank(0, primed);
+  ASSERT_LT(first, log_.entries.size());
+  EXPECT_EQ(log_.entries[first].cmd.type, DdrCommandType::kPrecharge);
+  EXPECT_EQ(log_.entries[first].at, write_at + 1);
+  const size_t act = log_.Find(DdrCommandType::kActivate, 0, first);
+  ASSERT_LT(act, log_.entries.size());
+  EXPECT_EQ(log_.entries[act].cmd.row, 6u);
+  EXPECT_EQ(responses_.size(), 4u);
+}
+
+TEST_F(ControllerTest, NoPrechargeWhileOldestRequestWantsOpenRow) {
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(200);
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 1, 9, 0), 1), now_));
+  RunUntilCommands(4);
+  ASSERT_EQ(log_.entries.back().cmd.type, DdrCommandType::kWrite);
+  const size_t primed = log_.entries.size();
+  const Cycle write_at = log_.entries.back().at;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 1)), now_));  // Oldest: a blocked hit.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 6, 0)), now_));  // Younger: conflicts.
+  RunFor(300);
+  const size_t first = log_.FindBank(0, primed);
+  ASSERT_LT(first, log_.entries.size());
+  EXPECT_EQ(log_.entries[first].cmd.type, DdrCommandType::kRead);
+  EXPECT_EQ(log_.entries[first].cmd.column, 1u);
+  const DramTiming& t = mc_->dram_config().timing;
+  EXPECT_EQ(log_.entries[first].at, write_at + t.tCWL + t.tBL + t.tWTR);
+  EXPECT_EQ(log_.entries[first + 1].cmd.type, DdrCommandType::kPrecharge);
+  EXPECT_EQ(responses_.size(), 4u);
+}
+
+TEST_F(ControllerTest, DrainingRankSkipsActAndReadButTakesPrecharge) {
+  const Cycle due = mc_->dram_config().RefPeriod();
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 7, 0)), now_));
+  RunFor(due - 3 - now_);  // Bank 1 holds row 7 open.
+  // An ACT three cycles before the REF is due: tRAS holds PREA back and
+  // the RD hit becomes legal while the rank drains.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(3);
+  ASSERT_EQ(now_, due);
+  const size_t before_due = log_.entries.size();
+  ASSERT_EQ(log_.entries.back().cmd.type, DdrCommandType::kActivate);
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 8, 0)), now_));  // Conflicts in bank 1.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 2, 3, 0)), now_));  // Closed bank 2.
+  RunFor(1000);
+  const size_t ref = log_.Find(DdrCommandType::kRefresh, 0, before_due);
+  ASSERT_LT(ref, log_.entries.size());
+  // While the rank drains only precharges issue, and bank 1's conflict
+  // takes its own PRE at once.
+  EXPECT_EQ(log_.entries[before_due].cmd.type, DdrCommandType::kPrecharge);
+  EXPECT_EQ(log_.entries[before_due].cmd.bank, 1u);
+  EXPECT_EQ(log_.entries[before_due].at, due);
+  for (size_t i = before_due; i < ref; ++i) {
+    const DdrCommandType type = log_.entries[i].cmd.type;
+    EXPECT_TRUE(type == DdrCommandType::kPrecharge || type == DdrCommandType::kPrechargeAll)
+        << log_.entries[i].cmd.ToDebugString() << " at " << log_.entries[i].at;
+  }
+  EXPECT_LT(log_.Find(DdrCommandType::kRead, 0, ref), log_.entries.size());
+  EXPECT_LT(log_.Find(DdrCommandType::kActivate, 2, ref), log_.entries.size());
+  EXPECT_EQ(responses_.size(), 4u);
+}
+
+// Throttles ACTs of one row until a fixed cycle and records every query.
+class RowThrottle final : public McMitigation {
+ public:
+  struct Query {
+    uint32_t bank = 0;
+    uint32_t row = 0;
+    Cycle at = 0;
+  };
+
+  RowThrottle(uint32_t row, Cycle until) : row_(row), until_(until) {}
+  std::string name() const override { return "row-throttle"; }
+  void OnActivate(uint32_t, uint32_t, uint32_t, Cycle,
+                  std::vector<NeighborRefreshRequest>&) override {}
+  Cycle ActAllowedAt(uint32_t, uint32_t bank, uint32_t row, Cycle now) override {
+    queries.push_back({bank, row, now});
+    return row == row_ && now < until_ ? until_ : now;
+  }
+  uint64_t SramBits() const override { return 0; }
+
+  std::vector<Query> queries;
+
+ private:
+  uint32_t row_;
+  Cycle until_;
+};
+
+TEST_F(ControllerTest, YoungerSameBankRequestCannotTakeTheAct) {
+  constexpr Cycle kRelease = 300;
+  auto throttle = std::make_unique<RowThrottle>(1, kRelease);
+  RowThrottle* raw = throttle.get();
+  mc_->InstallMitigation(std::move(throttle));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 1, 0)), now_));  // Older, throttled.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 2, 0)), now_));  // Younger, free.
+  RunFor(kRelease + 400);
+  const size_t act = log_.Find(DdrCommandType::kActivate, 0);
+  ASSERT_LT(act, log_.entries.size());
+  EXPECT_EQ(log_.entries[act].cmd.row, 1u);
+  EXPECT_EQ(log_.entries[act].at, kRelease);
+  // Only the bank's oldest request is ever offered to the gate.
+  ASSERT_FALSE(raw->queries.empty());
+  for (const RowThrottle::Query& query : raw->queries) {
+    if (query.at <= kRelease) {
+      EXPECT_EQ(query.row, 1u) << "at " << query.at;
+    }
+  }
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), kRelease);
+  EXPECT_EQ(responses_.size(), 2u);
+}
+
+// BlockHammer with every gate query recorded in call order.
+class RecordingBlockHammer final : public BlockHammerMitigation {
+ public:
+  using BlockHammerMitigation::BlockHammerMitigation;
+  Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) override {
+    const Cycle allowed = BlockHammerMitigation::ActAllowedAt(rank, bank, row, now);
+    queries.push_back({bank, row, now, allowed});
+    return allowed;
+  }
+
+  struct Query {
+    uint32_t bank = 0;
+    uint32_t row = 0;
+    Cycle at = 0;
+    Cycle allowed = 0;
+  };
+  std::vector<Query> queries;
+};
+
+TEST_F(ControllerTest, BlockHammerThrottledBanksAreQueriedInAgeOrder) {
+  const DramConfig dram = DramConfig::SimDefault();
+  McConfig mc_config;
+  mc_config.open_page = false;  // Every access closes its bank again.
+  Rebuild(dram, mc_config);
+  BlockHammerConfig bh;
+  bh.blacklist_threshold = 1;  // One ACT blacklists a row.
+  bh.throttle_delay = 1000;
+  auto mitigation = std::make_unique<RecordingBlockHammer>(dram.org, dram.retention,
+                                                           dram.disturbance, bh);
+  RecordingBlockHammer* raw = mitigation.get();
+  mc_->InstallMitigation(std::move(mitigation));
+
+  // Activate one row in each of banks 3, 1 and 2.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3, 10, 0)), now_));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 11, 0)), now_));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 2, 12, 0)), now_));
+  RunFor(200);
+  ASSERT_EQ(responses_.size(), 3u);
+  const uint64_t stalls_before = mc_->stats().Get("mc.throttle_stalls");
+  const size_t first_query = raw->queries.size();
+
+  // Revisit them; bank 3 also queues a younger request to another row.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3, 10, 1)), now_));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 11, 1)), now_));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3, 13, 0)), now_));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 2, 12, 1)), now_));
+  const Cycle revisit = now_;
+  RunFor(50);
+
+  // Every throttled scan asks bank 3 (row 10), then bank 1, then bank 2.
+  const std::vector<std::pair<uint32_t, uint32_t>> order = {{3, 10}, {1, 11}, {2, 12}};
+  uint64_t throttled = 0;
+  for (size_t i = first_query; i < raw->queries.size(); ++i) {
+    const RecordingBlockHammer::Query& query = raw->queries[i];
+    const auto& expected = order[(i - first_query) % order.size()];
+    EXPECT_EQ(query.bank, expected.first) << "query " << i - first_query;
+    EXPECT_EQ(query.row, expected.second) << "query " << i - first_query;
+    EXPECT_EQ(query.at, revisit + (i - first_query) / order.size());
+    if (query.allowed > query.at) {
+      ++throttled;
+    }
+  }
+  EXPECT_EQ(raw->queries.size() - first_query, 50u * order.size());
+  EXPECT_EQ(throttled, 50u * order.size());
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls") - stalls_before, throttled);
+  EXPECT_EQ(raw->throttled_acts(), mc_->stats().Get("mc.throttle_stalls"));
+}
+
+TEST_F(ControllerTest, PerBankRefreshDrainsOnlyTheDueBank) {
+  DramConfig dram = DramConfig::SimDefault();
+  dram.retention.per_bank_refresh = true;
+  Rebuild(dram, McConfig{});
+  const Cycle due = dram.RefPeriod();  // Bank 0 of rank 0 is due first.
+  RunFor(due - 3);
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(3);  // ACT bank 0; tRAS holds its PRE back past the due cycle.
+  ASSERT_EQ(now_, due);
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 7, 0)), now_));
+  RunFor(1000);
+  const size_t refsb = log_.Find(DdrCommandType::kRefreshSb, 0);
+  ASSERT_LT(refsb, log_.entries.size());
+  // Bank 1 is not draining: its ACT and RD go ahead of bank 0's REFsb.
+  EXPECT_LT(log_.Find(DdrCommandType::kActivate, 1), refsb);
+  EXPECT_LT(log_.Find(DdrCommandType::kRead, 1), refsb);
+  // Bank 0 is: its legal RD hit waits for the REFsb and a fresh ACT.
+  const size_t read0 = log_.Find(DdrCommandType::kRead, 0);
+  EXPECT_GT(read0, refsb);
+  EXPECT_LT(log_.Find(DdrCommandType::kActivate, 0, refsb), read0);
+  EXPECT_EQ(responses_.size(), 2u);
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 // mode, with the scheduler's own telemetry the lone permitted difference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "attack/hammer.h"
 #include "attack/planner.h"
+#include "check/sched_ref.h"
+#include "common/rng.h"
 #include "mc/controller.h"
 #include "mc/mitigations.h"
 #include "sim/scenario.h"
@@ -268,6 +271,171 @@ TEST(EventScheduling, NextWakeIsExactDuringBusyPhases) {
   }
   EXPECT_TRUE(mc.Idle());
   EXPECT_GT(busy_skips, 0u);
+}
+
+// --- Per-bank scheduler vs. the reference three-pass scan --------------------
+
+enum class SchedHw { kNone, kPara, kBlockHammer };
+
+struct SchedCase {
+  uint32_t ranks = 1;
+  bool per_bank_refresh = false;
+  bool open_page = true;
+  SchedHw hw = SchedHw::kNone;
+  uint32_t depth = 32;          // Queue capacity, kept full.
+  uint32_t write_percent = 30;  // Read/write mix.
+};
+
+std::string Describe(const SchedCase& c) {
+  static const char* const kHw[] = {"none", "para", "blockhammer"};
+  return std::to_string(c.ranks) + " rank(s), " + (c.per_bank_refresh ? "REFsb" : "REFab") +
+         ", " + (c.open_page ? "open" : "closed") + " page, " +
+         kHw[static_cast<int>(c.hw)] + ", depth " + std::to_string(c.depth) + ", " +
+         std::to_string(c.write_percent) + "% writes";
+}
+
+// Drives a bare controller with skewed traffic — most requests hit two
+// banks and four rows per bank, so hits, conflicts and same-bank queues
+// are common — and checks every scan against the reference.
+void RunSchedulerCheck(const SchedCase& c, Cycle cycles, SchedulerOracle& oracle) {
+  DramConfig dram = DramConfig::SimDefault();
+  dram.org.ranks = c.ranks;
+  dram.retention.per_bank_refresh = c.per_bank_refresh;
+  dram.retention.refresh_window = 1u << 18;  // REF every 4096 cycles.
+  dram.retention.ref_commands_per_window = 64;
+  McConfig mc_config;
+  mc_config.open_page = c.open_page;
+  mc_config.queue_capacity = c.depth;
+  MemoryController mc(dram, mc_config);
+  switch (c.hw) {
+    case SchedHw::kNone:
+      break;
+    case SchedHw::kPara: {
+      ParaConfig para;
+      para.refresh_probability = 0.1;  // Neighbour refreshes preempt requests.
+      mc.InstallMitigation(std::make_unique<ParaMitigation>(dram.org, para));
+      break;
+    }
+    case SchedHw::kBlockHammer: {
+      BlockHammerConfig bh;
+      bh.blacklist_threshold = 8;
+      bh.throttle_delay = 500;
+      mc.InstallMitigation(std::make_unique<BlockHammerMitigation>(
+          dram.org, dram.retention, dram.disturbance, bh));
+      break;
+    }
+  }
+  mc.set_response_handler([](const MemResponse&) {});
+  mc.set_sched_check_observer(&oracle);
+
+  Rng rng(c.depth * 131 + c.write_percent);
+  const uint32_t banks = dram.org.ranks * dram.org.banks;
+  uint64_t id = 0;
+  for (Cycle now = 0; now < cycles;) {
+    while (mc.QueuedRequests() < c.depth) {
+      const uint32_t b =
+          rng.NextBool(0.6) ? static_cast<uint32_t>(rng.NextBelow(2)) * (banks - 1)
+                            : static_cast<uint32_t>(rng.NextBelow(banks));
+      DdrCoord coord;
+      coord.rank = b / dram.org.banks;
+      coord.bank = b % dram.org.banks;
+      coord.row = 100 + static_cast<uint32_t>(rng.NextBelow(4)) * 3;
+      coord.column = static_cast<uint32_t>(rng.NextBelow(dram.org.columns));
+      MemRequest request;
+      request.id = ++id;
+      request.op = rng.NextBelow(100) < c.write_percent ? MemOp::kWrite : MemOp::kRead;
+      request.addr = mc.mapper().AddrOf(coord);
+      if (!mc.Enqueue(request, now)) {
+        break;
+      }
+    }
+    mc.Tick(now);
+    now = std::max(now + 1, mc.NextWake(now + 1));
+  }
+  mc.set_sched_check_observer(nullptr);
+}
+
+TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
+  constexpr uint32_t kDepths[] = {8, 16, 32, 64};
+  constexpr uint32_t kWritePercents[] = {5, 50, 90};
+  uint64_t scans = 0;
+  uint64_t by_kind[4] = {0, 0, 0, 0};
+  uint64_t throttled = 0;
+  uint64_t draining = 0;
+  size_t variant = 0;
+  for (const uint32_t ranks : {1u, 2u}) {
+    for (const bool per_bank_refresh : {false, true}) {
+      for (const bool open_page : {true, false}) {
+        for (const SchedHw hw : {SchedHw::kNone, SchedHw::kPara, SchedHw::kBlockHammer}) {
+          // Two (depth, mix) points per configuration, rotating so every
+          // depth and mix meets every other axis across the matrix.
+          for (int rep = 0; rep < 2; ++rep, ++variant) {
+            SchedCase c;
+            c.ranks = ranks;
+            c.per_bank_refresh = per_bank_refresh;
+            c.open_page = open_page;
+            c.hw = hw;
+            c.depth = kDepths[variant % 4];
+            c.write_percent = kWritePercents[variant % 3];
+            SchedulerOracle oracle;
+            RunSchedulerCheck(c, 20000, oracle);
+            EXPECT_TRUE(oracle.ok()) << Describe(c) << "\n" << oracle.Report();
+            EXPECT_GT(oracle.scans_checked(), 1000u) << Describe(c);
+            scans += oracle.scans_checked();
+            for (size_t k = 0; k < 4; ++k) {
+              by_kind[k] += oracle.picks_by_kind()[k];
+            }
+            throttled += oracle.throttled_scans();
+            draining += oracle.draining_scans();
+          }
+        }
+      }
+    }
+  }
+  // The matrix reached every outcome the scan can have.
+  EXPECT_GT(by_kind[static_cast<size_t>(SchedPick::Kind::kNone)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(SchedPick::Kind::kHit)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(SchedPick::Kind::kAct)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(SchedPick::Kind::kPre)], 0u);
+  EXPECT_GT(throttled, 0u);
+  EXPECT_GT(draining, 0u);
+  EXPECT_GT(scans, 0u);
+}
+
+// The oracle is not vacuous: a snapshot whose recorded gate answers
+// disagree with the scan, or a doctored pick, is reported.
+TEST(EventScheduling, SchedulerOracleFlagsDivergentPicks) {
+  const DramConfig dram = DramConfig::SimDefault();
+  SchedScan scan;
+  scan.now = 100;
+  scan.banks = dram.org.banks;
+  scan.timing.emplace(dram.org, dram.timing, false);
+  scan.queue.push_back({0, DdrCoord{0, 0, 1, 7, 0}, MemOp::kRead});
+  scan.queue.push_back({1, DdrCoord{0, 0, 2, 9, 0}, MemOp::kRead});
+  const RefSchedResult ref = ReferenceSchedPick(scan);
+  ASSERT_EQ(ref.pick.kind, SchedPick::Kind::kAct);
+  EXPECT_EQ(ref.pick.seq, 0u);
+
+  SchedulerOracle oracle;
+  oracle.OnScan(scan, ref.pick);
+  EXPECT_TRUE(oracle.ok()) << oracle.Report();
+  SchedPick younger = ref.pick;
+  younger.seq = 1;
+  younger.cmd = DdrCommand::Act(0, 2, 9);
+  oracle.OnScan(scan, younger);
+  EXPECT_EQ(oracle.total_divergences(), 1u);
+
+  // Gated scan: the oldest bank was throttled, so the reference must ask
+  // about it first and then pick the younger bank's ACT.
+  scan.gated = true;
+  scan.act_queries.push_back({0, 1, 7, 900});
+  scan.act_queries.push_back({0, 2, 9, 100});
+  const RefSchedResult gated = ReferenceSchedPick(scan);
+  EXPECT_TRUE(gated.queries_match);
+  EXPECT_EQ(gated.pick.seq, 1u);
+  EXPECT_EQ(gated.pick.throttle_stalls, 1u);
+  std::swap(scan.act_queries[0], scan.act_queries[1]);  // Asked out of age order.
+  EXPECT_FALSE(ReferenceSchedPick(scan).queries_match);
 }
 
 }  // namespace
