@@ -39,22 +39,6 @@ void Histogram::Merge(const Histogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void Histogram::MergeDelta(const Histogram& current, const Histogram& previous) {
-  if (current.count_ == previous.count_) {
-    // Append-only snapshots with equal counts are identical.
-    return;
-  }
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[i] += current.buckets_[i] - previous.buckets_[i];
-  }
-  count_ += current.count_ - previous.count_;
-  sum_ += current.sum_ - previous.sum_;
-  // min/max only tighten as a histogram grows, so folding current's
-  // extremes reproduces the full-rebuild result exactly.
-  min_ = std::min(min_, current.min_);
-  max_ = std::max(max_, current.max_);
-}
-
 double Histogram::Mean() const {
   return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
 }

@@ -30,12 +30,6 @@ class Histogram {
 
   void Record(uint64_t value);
   void Merge(const Histogram& other);
-  // Folds in only what `current` gained since the `previous` snapshot of
-  // the same append-only histogram (previous must be an earlier copy of
-  // current). Equivalent to rebuilding from scratch with Merge(current),
-  // at delta cost: the incremental SyncTelemetry path uses this to fold
-  // per-channel slabs without resetting the aggregate each sync.
-  void MergeDelta(const Histogram& current, const Histogram& previous);
   void Reset();
 
   uint64_t count() const { return count_; }
@@ -79,10 +73,6 @@ class Counter {
  public:
   void Increment() { ++value_; }
   void Add(uint64_t delta) { value_ += delta; }
-  // Overwrites the value. For counters rebuilt from authoritative
-  // per-shard accumulators (MemoryController::SyncTelemetry) rather than
-  // incremented in place; idempotent by construction.
-  void Set(uint64_t value) { value_ = value; }
   uint64_t value() const { return value_; }
 
  private:

@@ -530,6 +530,10 @@ std::optional<std::vector<TraceBufferSnapshot>> DecodeTraceBinary(std::string_vi
           !reader.ReadVarint(&event.arg)) {
         return std::nullopt;
       }
+      if (!IsKnownTraceKind(kind)) {
+        reader.Fail("unknown trace kind " + std::to_string(kind));
+        return std::nullopt;
+      }
       prev_cycle += static_cast<uint64_t>(delta);
       event.cycle = prev_cycle;
       event.kind = static_cast<TraceKind>(kind);

@@ -34,8 +34,6 @@ const char* ToString(TraceKind kind) {
       return "MITIG_REF";
     case TraceKind::kEpochRollover:
       return "REF_WINDOW";
-    case TraceKind::kShardSync:
-      return "SHARD_SYNC";
     case TraceKind::kDefenseTrigger:
       return "DEFENSE";
     case TraceKind::kDefenseAction:
@@ -124,7 +122,6 @@ Track TrackFor(const TraceEvent& event) {
     case TraceKind::kActInterrupt:
     case TraceKind::kMitigationRefresh:
     case TraceKind::kEpochRollover:
-    case TraceKind::kShardSync:
       return {event.channel, kControllerTid};
     case TraceKind::kRef:
     case TraceKind::kPreAll:

@@ -29,6 +29,8 @@
 
 namespace ht {
 
+// Values are part of the hammertime.bin.v1 trace format: never renumber
+// a kind. 13 belonged to a retired kind and stays unassigned.
 enum class TraceKind : uint8_t {
   // DRAM commands, recorded at device issue time.
   kAct = 0,
@@ -46,15 +48,19 @@ enum class TraceKind : uint8_t {
   kActInterrupt,       // arg = trigger physical address.
   kMitigationRefresh,  // row = aggressor, arg = blast radius.
   kEpochRollover,      // refresh-window boundary, arg = window index.
-  kShardSync,          // channel-shard window sync point; row = window
-                       // length in cycles, arg = scheduling wakes the
-                       // channel ran inside the window (shard occupancy).
   // Defense / OS events (channel/rank/bank unused).
-  kDefenseTrigger,  // arg = trigger physical address (or detection key).
+  kDefenseTrigger = 14,  // arg = trigger physical address (or detection key).
   kDefenseAction,   // arg = acted-on physical address.
   kQuarantine,      // arg = migrated physical address.
   kPageMove,        // arg = destination frame.
 };
+
+// True iff `kind` is the value of a TraceKind enumerator.
+inline bool IsKnownTraceKind(uint8_t kind) {
+  return kind <= static_cast<uint8_t>(TraceKind::kEpochRollover) ||
+         (kind >= static_cast<uint8_t>(TraceKind::kDefenseTrigger) &&
+          kind <= static_cast<uint8_t>(TraceKind::kPageMove));
+}
 
 const char* ToString(TraceKind kind);
 
@@ -94,21 +100,6 @@ class TraceBuffer {
 
   // Retained events in chronological (emit) order.
   std::vector<TraceEvent> Snapshot() const;
-
-  // Copies every retained event of `src`, oldest first. The sharded
-  // advance routes each channel's in-window events into a private
-  // scratch buffer and folds them back here at the sync point, in
-  // channel order, so the merged stream is identical for any worker
-  // count (and to the serial in-order advance).
-  void Append(const TraceBuffer& src) {
-    const uint64_t start = src.emitted_ - src.size();
-    for (uint64_t i = start; i < src.emitted_; ++i) {
-      Emit(src.ring_[static_cast<size_t>(i % src.capacity_)]);
-    }
-  }
-
-  // Forgets all events (scratch-buffer reuse between shard windows).
-  void Clear() { emitted_ = 0; }
 
  private:
   std::string label_;

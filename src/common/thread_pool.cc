@@ -61,23 +61,6 @@ void ThreadPool::ResetStats() {
   busy_nanos_.store(0, std::memory_order_relaxed);
 }
 
-void ThreadPool::FoldQueuePeak(uint64_t depth) {
-  uint64_t peak = queue_peak_.load(std::memory_order_relaxed);
-  while (depth > peak &&
-         !queue_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
-  }
-}
-
-void ThreadPool::NoteExternalDispatch(uint64_t jobs) {
-  tasks_.fetch_add(1, std::memory_order_relaxed);
-  jobs_.fetch_add(jobs, std::memory_order_relaxed);
-  FoldQueuePeak(queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1);
-}
-
-void ThreadPool::NoteExternalComplete() {
-  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-}
-
 bool ThreadPool::RunOneJob(Task& task) {
   if (task.failed.load(std::memory_order_relaxed)) {
     return false;
@@ -181,8 +164,10 @@ void ThreadPool::Run(uint64_t jobs, unsigned max_concurrency,
   {
     const std::lock_guard<std::mutex> lock(mu_);
     pending_.push_back(&task);
+    if (++queue_depth_ > queue_peak_.load(std::memory_order_relaxed)) {
+      queue_peak_.store(queue_depth_, std::memory_order_relaxed);
+    }
   }
-  FoldQueuePeak(queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1);
   work_cv_.notify_all();
   // Caller participation: claim jobs off the shared cursor until it runs
   // dry. Uneven job lengths still balance, and a nested Run never waits
@@ -191,23 +176,11 @@ void ThreadPool::Run(uint64_t jobs, unsigned max_concurrency,
   }
   std::unique_lock<std::mutex> lock(mu_);
   pending_.erase(std::find(pending_.begin(), pending_.end(), &task));
-  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+  --queue_depth_;
   done_cv_.wait(lock, [&] { return task.helpers == 0; });
   if (task.error != nullptr) {
     std::rethrow_exception(task.error);
   }
-}
-
-namespace {
-std::atomic<int> g_fanout_depth{0};
-}  // namespace
-
-PoolFanoutRegion::PoolFanoutRegion() { g_fanout_depth.fetch_add(1, std::memory_order_relaxed); }
-
-PoolFanoutRegion::~PoolFanoutRegion() { g_fanout_depth.fetch_sub(1, std::memory_order_relaxed); }
-
-bool PoolFanoutRegion::Active() {
-  return g_fanout_depth.load(std::memory_order_relaxed) != 0;
 }
 
 void ParallelFor(uint64_t jobs, unsigned threads, const std::function<void(uint64_t)>& body) {

@@ -1,8 +1,7 @@
-// A small persistent worker pool for parallel fan-out at two levels:
-// whole simulations (one self-contained scenario per job) and per-channel
-// shards inside one simulation. Jobs are indexed, results are written by
-// index, so the output order is deterministic regardless of which worker
-// ran which job.
+// A small persistent worker pool for parallel fan-out over whole
+// simulations (one self-contained scenario or campaign cell per job).
+// Jobs are indexed, results are written by index, so the output order is
+// deterministic regardless of which worker ran which job.
 #ifndef HAMMERTIME_SRC_COMMON_THREAD_POOL_H_
 #define HAMMERTIME_SRC_COMMON_THREAD_POOL_H_
 
@@ -35,9 +34,9 @@ struct PoolStats {
 
 // Fixed-size pool of persistent workers. The calling thread always
 // participates in its own submission, which makes nested fan-out safe:
-// a scenario job running on a pool worker can itself Run() a per-channel
-// shard fan-out, and even with zero free helpers the caller works through
-// its task inline — the pool can never deadlock on its own capacity.
+// a job running on a pool worker can itself Run() a fan-out, and even
+// with zero free helpers the caller works through its task inline — the
+// pool can never deadlock on its own capacity.
 class ThreadPool {
  public:
   // Spawns `workers - 1` helper threads (the caller is the remaining
@@ -64,19 +63,10 @@ class ThreadPool {
   PoolStats stats() const;
   void ResetStats();
 
-  // Accounting hooks for fan-out that bypasses the pending queue (the
-  // persistent ShardWorkerGroup path): each external dispatch counts as
-  // one task with `jobs` jobs and holds one slot of queue depth until
-  // NoteExternalComplete, so pool.tasks/pool.jobs/pool.queue_peak keep
-  // describing every parallel fan-out in the process. Lock-free.
-  void NoteExternalDispatch(uint64_t jobs);
-  void NoteExternalComplete();
-
-  // The process-wide pool shared by inter-scenario fan-out (RunScenarios)
-  // and intra-scenario channel shards (MemoryController::AdvanceChannels).
-  // Sized once, on first use, from ResolveThreadCount(0) — HT_THREADS or
-  // the hardware concurrency — so the two nesting levels draw from one
-  // budget and cannot oversubscribe the machine between them.
+  // The process-wide pool behind ParallelFor and RunScenarios. Sized
+  // once, on first use, from ResolveThreadCount(0) — HT_THREADS or the
+  // hardware concurrency — so nested fan-outs draw from one budget and
+  // cannot oversubscribe the machine between them.
   static ThreadPool& Shared();
 
  private:
@@ -98,14 +88,10 @@ class ThreadPool {
   // exhausted or the task failed. Exceptions are captured into the task.
   bool RunOneJob(Task& task);
 
-  // Folds `depth` into queue_peak_ with a CAS max (racy-max is not
-  // enough once lock-free external dispatches update it concurrently).
-  void FoldQueuePeak(uint64_t depth);
-
   unsigned workers_;
   std::atomic<uint64_t> tasks_{0};
   std::atomic<uint64_t> jobs_{0};
-  std::atomic<uint64_t> queue_depth_{0};  // Pending submissions, incl. external.
+  uint64_t queue_depth_ = 0;  // Pending submissions (pool mutex).
   std::atomic<uint64_t> queue_peak_{0};
   std::atomic<uint64_t> busy_nanos_{0};
   std::mutex mu_;
@@ -120,22 +106,6 @@ class ThreadPool {
 // when threads <= 1 or jobs <= 1), drawing helpers from ThreadPool::
 // Shared(). Same independence and exception contract as ThreadPool::Run.
 void ParallelFor(uint64_t jobs, unsigned threads, const std::function<void(uint64_t)>& body);
-
-// RAII marker for a multi-simulation fan-out (RunScenarios running more
-// than one scenario on more than one worker). While any region is
-// active, per-MC persistent shard workers stand down and channel shards
-// route through the shared pool instead — the scenario jobs already own
-// the thread budget, and per-simulation worker groups on top of them
-// would oversubscribe the machine. Nestable; counted process-wide.
-class PoolFanoutRegion {
- public:
-  PoolFanoutRegion();
-  ~PoolFanoutRegion();
-  PoolFanoutRegion(const PoolFanoutRegion&) = delete;
-  PoolFanoutRegion& operator=(const PoolFanoutRegion&) = delete;
-
-  static bool Active();
-};
 
 }  // namespace ht
 

@@ -4,8 +4,6 @@
 #include <string>
 
 #include "common/log.h"
-#include "common/telemetry/profile.h"
-#include "common/thread_pool.h"
 
 namespace ht {
 
@@ -59,14 +57,9 @@ MemoryController::MemoryController(const DramConfig& dram_config, const McConfig
   c_mitigation_refreshes_ = stats_.counter("mc.mitigation_refreshes");
   c_wake_batches_ = stats_.counter("mc.wake_batches");
   c_table_probes_ = stats_.counter("act.table_probes");
-  c_sync_barriers_ = stats_.counter("mc.sync_barriers");
-  c_shard_wait_cycles_ = stats_.counter("mc.shard_wait_cycles");
   h_cmds_per_wake_ = stats_.histogram("mc.cmds_per_wake");
   h_read_latency_ = stats_.histogram("mc.read_latency");
   h_write_latency_ = stats_.histogram("mc.write_latency");
-  // Shard self-telemetry (like mc.sync_barriers: measures the scheduling
-  // strategy, not the simulated machine — exempt from A/B identity).
-  h_shard_window_ = stats_.histogram("mc.shard_window");
   h_ch_cmds_per_wake_.reserve(channels);
   for (uint32_t c = 0; c < channels; ++c) {
     h_ch_cmds_per_wake_.push_back(
@@ -129,11 +122,6 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   }
   channel.pending_banks |= 1ull << bank_slot;
   ++channel.queued;
-  if (request.op == MemOp::kRead) {
-    ++channel.queued_reads;
-  } else {
-    ++channel.queued_writes;
-  }
   channel.next_sched = 0;
   channel.next_try = 0;
   c_requests_->Increment();
@@ -141,7 +129,6 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
 }
 
 void MemoryController::SetActInterruptHandler(ActInterruptHandler handler) {
-  act_handler_set_ = static_cast<bool>(handler);
   for (auto& counter : act_counters_) {
     counter->set_handler(handler);
   }
@@ -162,9 +149,6 @@ bool MemoryController::RefreshRow(PhysAddr addr, bool auto_precharge, Cycle now,
   op.requested = now;
   op.addr = addr;
   op.done = std::move(done);
-  if (op.done) {
-    ++pending_done_callbacks_;
-  }
   channel.internal_ops.push_back(std::move(op));
   channel.next_try = 0;
   c_refresh_instr_->Increment();
@@ -197,7 +181,7 @@ void MemoryController::Tick(Cycle now) {
   if ((mitigation_ != nullptr || trace_ != nullptr) && now >= next_epoch_) [[unlikely]] {
     if (mitigation_ != nullptr) {
       mitigation_->OnEpoch(now);
-      SyncTelemetry();  // Window-granular act.table_probes for the sampler.
+      SyncTableProbes();  // Window-granular act.table_probes for the sampler.
       HT_TRACE(trace_, next_epoch_, TraceKind::kEpochRollover, 0, 0, 0, 0, epoch_index_);
       ++epoch_index_;
       next_epoch_ += dram_config_.retention.refresh_window;
@@ -218,7 +202,6 @@ void MemoryController::Tick(Cycle now) {
   }
   for (uint32_t c = 0; c < channels(); ++c) {
     ChannelState& channel = channels_[c];
-    channel.sync_dirty = true;
     // Completions are time-driven, so they drain regardless of the
     // scheduling memo (NextWake always includes the nearest ready cycle).
     DrainCompletions(c, now);
@@ -226,11 +209,11 @@ void MemoryController::Tick(Cycle now) {
       continue;  // Provably no stage can issue on this channel yet.
     }
     // One "wake batch" = one channel scan; the histogram shows how many
-    // commands each scan produced (0 = a wasted wake). Counted into the
-    // channel slab so the sharded advance path accounts identically.
-    const bool issued = TickChannel(c, now);
-    ++channel.counters.wake_batches;
-    channel.counters.cmds_per_wake.Record(issued ? 1 : 0);
+    // commands each scan produced (0 = a wasted wake).
+    const uint64_t issued = TickChannel(c, now) ? 1 : 0;
+    c_wake_batches_->Increment();
+    h_cmds_per_wake_->Record(issued);
+    h_ch_cmds_per_wake_[c]->Record(issued);
   }
 }
 
@@ -240,7 +223,7 @@ void MemoryController::DrainCompletions(uint32_t channel_index, Cycle now) {
     MemResponse response = channel.in_flight.top().response;
     channel.in_flight.pop();
     response.complete_cycle = now;
-    channel.counters.read_latency.Record(response.Latency());
+    h_read_latency_->Record(response.Latency());
     if (response_handler_) {
       response_handler_(response);
     }
@@ -307,7 +290,7 @@ bool MemoryController::TryRefreshManager(uint32_t channel_index, Cycle now, Cycl
       if (device.Check(refsb, now) == TimingVerdict::kOk) {
         device.Issue(refsb, now);
         channel.ref_due[slot] += dram_config_.RefPeriod();
-        ++channel.counters.refs_sb_issued;
+        c_refs_sb_issued_->Increment();
         return true;
       }
       retry = std::min(next_due, device.EarliestCycle(refsb));
@@ -335,7 +318,7 @@ bool MemoryController::TryRefreshManager(uint32_t channel_index, Cycle now, Cycl
     if (device.Check(ref, now) == TimingVerdict::kOk) {
       device.Issue(ref, now);
       channel.ref_due[rank] += dram_config_.RefPeriod();
-      ++channel.counters.refs_issued;
+      c_refs_issued_->Increment();
       return true;
     }
     retry = std::min(next_due, device.EarliestCycle(ref));
@@ -386,11 +369,10 @@ bool MemoryController::TryInternalOps(uint32_t channel_index, Cycle now, Cycle& 
           // increment the raw ACT counter like real ACT_COUNT would.
           act_counters_[channel_index]->OnActivate(op.addr, kInvalidDomain, false, now);
           op.activated = true;
-          ++channel.counters.refresh_instr_acts;
+          c_refresh_instr_acts_->Increment();
           if (!op.auto_precharge) {
             if (op.done) {
               op.done({op.addr, op.requested, now});
-              --pending_done_callbacks_;
             }
             channel.internal_ops.pop_front();
           }
@@ -405,7 +387,6 @@ bool MemoryController::TryInternalOps(uint32_t channel_index, Cycle now, Cycle& 
         device.Issue(pre, now);
         if (op.done) {
           op.done({op.addr, op.requested, now});
-          --pending_done_callbacks_;
         }
         channel.internal_ops.pop_front();
         return true;
@@ -466,13 +447,13 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
   switch (pick.kind) {
     case SchedPick::Kind::kHit:
       if (!pending.counted) {
-        ++channel.counters.row_hits;  // Served without its own ACT.
+        c_row_hits_->Increment();  // Served without its own ACT.
       }
       IssueRequestAccess(channel_index, slot, now);
       break;
     case SchedPick::Kind::kAct:
       if (!pending.counted) {
-        ++channel.counters.row_misses;
+        c_row_misses_->Increment();
         pending.counted = true;
       }
       act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
@@ -481,7 +462,7 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       break;
     case SchedPick::Kind::kPre:
       if (!pending.counted) {
-        ++channel.counters.row_conflicts;
+        c_row_conflicts_->Increment();
         pending.counted = true;
       }
       break;
@@ -730,11 +711,6 @@ void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t slot,
   }
   channel.free_slots.push_back(slot);
   --channel.queued;
-  if (pending.request.op == MemOp::kRead) {
-    --channel.queued_reads;
-  } else {
-    --channel.queued_writes;
-  }
 
   MemResponse response;
   response.id = pending.request.id;
@@ -750,8 +726,8 @@ void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t slot,
                      pending.coord.column, pending.request.write_value);
     // Writes are posted: complete as soon as the WR command issues.
     response.complete_cycle = now;
-    ++channel.counters.writes_done;
-    channel.counters.write_latency.Record(response.Latency());
+    c_writes_done_->Increment();
+    h_write_latency_->Record(response.Latency());
     if (response_handler_) {
       response_handler_(response);
     }
@@ -767,7 +743,7 @@ void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t slot,
   in_flight.ready = now + dram_config_.timing.tCL + dram_config_.timing.tBL;
   in_flight.response = response;
   channel.in_flight.push(in_flight);
-  ++channel.counters.reads_done;
+  c_reads_done_->Increment();
 }
 
 void MemoryController::NotifyMitigationActivate(const DdrCoord& coord, Cycle now) {
@@ -857,270 +833,12 @@ Cycle MemoryController::NextWake(Cycle now) const {
   return std::max(now, wake);
 }
 
-void MemoryController::SyncTelemetry() {
-  // Fold the authoritative per-channel slabs into the named stats,
-  // incrementally: each dirty channel contributes the delta between its
-  // live slab and the snapshot taken at its previous sync. Reconverges to
-  // the same values as a from-scratch rebuild after any call sequence —
-  // mid-run, from the sampler, from both stats() accessors.
-  ProfilePhase phase("mc.telemetry_sync");
-  if (c_wake_batches_->value() != wake_batches_synced_) [[unlikely]] {
-    // The named stats were reset (or overwritten) behind our back —
-    // StatSet::Reset between measurement phases does this legitimately.
-    // Drop every baseline and rebuild from zero.
-    c_row_hits_->Set(0);
-    c_row_misses_->Set(0);
-    c_row_conflicts_->Set(0);
-    c_reads_done_->Set(0);
-    c_writes_done_->Set(0);
-    c_refs_issued_->Set(0);
-    c_refs_sb_issued_->Set(0);
-    c_refresh_instr_acts_->Set(0);
-    c_wake_batches_->Set(0);
-    c_shard_wait_cycles_->Set(0);
-    h_cmds_per_wake_->Reset();
-    h_read_latency_->Reset();
-    h_write_latency_->Reset();
-    for (uint32_t c = 0; c < channels(); ++c) {
-      h_ch_cmds_per_wake_[c]->Reset();
-      channels_[c].synced = ChannelCounters();
-      channels_[c].sync_dirty = true;
-    }
-  }
-  for (uint32_t c = 0; c < channels(); ++c) {
-    ChannelState& channel = channels_[c];
-    if (!channel.sync_dirty) {
-      continue;
-    }
-    const ChannelCounters& cur = channel.counters;
-    const ChannelCounters& prev = channel.synced;
-    c_row_hits_->Add(cur.row_hits - prev.row_hits);
-    c_row_misses_->Add(cur.row_misses - prev.row_misses);
-    c_row_conflicts_->Add(cur.row_conflicts - prev.row_conflicts);
-    c_reads_done_->Add(cur.reads_done - prev.reads_done);
-    c_writes_done_->Add(cur.writes_done - prev.writes_done);
-    c_refs_issued_->Add(cur.refs_issued - prev.refs_issued);
-    c_refs_sb_issued_->Add(cur.refs_sb_issued - prev.refs_sb_issued);
-    c_refresh_instr_acts_->Add(cur.refresh_instr_acts - prev.refresh_instr_acts);
-    c_wake_batches_->Add(cur.wake_batches - prev.wake_batches);
-    c_shard_wait_cycles_->Add(cur.shard_wait_cycles - prev.shard_wait_cycles);
-    h_cmds_per_wake_->MergeDelta(cur.cmds_per_wake, prev.cmds_per_wake);
-    h_read_latency_->MergeDelta(cur.read_latency, prev.read_latency);
-    h_write_latency_->MergeDelta(cur.write_latency, prev.write_latency);
-    h_ch_cmds_per_wake_[c]->MergeDelta(cur.cmds_per_wake, prev.cmds_per_wake);
-    channel.synced = cur;
-    channel.sync_dirty = false;
-  }
-  wake_batches_synced_ = c_wake_batches_->value();
+void MemoryController::SyncTableProbes() {
   if (mitigation_ != nullptr) {
     const uint64_t probes = mitigation_->TableProbes();
     c_table_probes_->Add(probes - mitigation_probes_synced_);
     mitigation_probes_synced_ = probes;
   }
-}
-
-Cycle MemoryController::ShardHorizon(Cycle now) const {
-  // Couplings that cannot be windowed at all: mitigations touch shared
-  // tables on every ACT, armed ACT interrupts call back into the CPU
-  // layer, and refresh-done callbacks must fire on the caller thread.
-  if (!config_.event_driven || !config_.shard_channels || mitigation_ != nullptr ||
-      sched_check_ != nullptr ||
-      (config_.act_counter.enabled && act_handler_set_) || pending_done_callbacks_ != 0) {
-    return now;
-  }
-  Cycle horizon = kNeverCycle;
-  if (trace_ != nullptr) {
-    // Epoch rollovers are stamped by the serial Tick path; never jump one.
-    horizon = std::min(horizon, next_epoch_);
-  }
-  if (response_handler_) {
-    // Responses must be delivered on the caller thread, so the window
-    // must end before any delivery: posted writes complete at issue time
-    // (block entirely), in-flight reads at their ready cycle, and a
-    // queued read completes tCL+tBL after its issue. The issue bound is
-    // per channel: the scheduling memo proves channel c cannot issue
-    // before max(now, next_try), and nothing inside a window lowers that
-    // (in-window completions never drain before the window ends, by this
-    // very bound), so its first completion lands at or after
-    // max(now, next_try) + tCL + tBL. Channels whose queues hold no reads
-    // do not clamp at all — that is what lets busy same-channel stretches
-    // grow windows into the thousands of cycles.
-    const Cycle read_pipe = dram_config_.timing.tCL + dram_config_.timing.tBL;
-    for (const ChannelState& channel : channels_) {
-      if (channel.queued_writes != 0) {
-        return now;
-      }
-      if (!channel.in_flight.empty()) {
-        horizon = std::min(horizon, channel.in_flight.top().ready);
-      }
-      if (channel.queued_reads != 0) {
-        const Cycle first_issue = std::max(now, channel.next_try);
-        if (first_issue < kNeverCycle - read_pipe) {
-          horizon = std::min(horizon, first_issue + read_pipe);
-        }
-      }
-    }
-  }
-  return std::max(horizon, now);
-}
-
-void MemoryController::AdvanceChannel(uint32_t channel_index, Cycle from, Cycle until) {
-  ChannelState& channel = channels_[channel_index];
-  channel.sync_dirty = true;
-  Cycle now = from;
-  while (now < until) {
-    // The serial path visits this channel exactly at max(now, next_try)
-    // (its NextWake contribution) and at in-flight ready cycles; every
-    // other cycle is a provable no-op, so jump straight to the next wake.
-    Cycle wake = std::max(now, channel.next_try);
-    if (!channel.in_flight.empty()) {
-      wake = std::min(wake, std::max(now, channel.in_flight.top().ready));
-    }
-    if (wake >= until) {
-      channel.counters.shard_wait_cycles += until - now;
-      return;
-    }
-    channel.counters.shard_wait_cycles += wake - now;
-    DrainCompletions(channel_index, wake);
-    if (wake >= channel.next_try) {
-      const bool issued = TickChannel(channel_index, wake);
-      ++channel.counters.wake_batches;
-      channel.counters.cmds_per_wake.Record(issued ? 1 : 0);
-    }
-    now = wake + 1;
-  }
-}
-
-namespace {
-// A traced parallel window routes each channel's events into a private
-// scratch ring; clamp such windows so even a worst-case event rate (one
-// command per cycle plus the flip fan-out per ACT) stays far below the
-// scratch capacity, keeping the fold-back lossless.
-constexpr Cycle kTraceShardWindowMax = 4096;
-constexpr size_t kTraceScratchCapacity = 1u << 15;
-}  // namespace
-
-Cycle MemoryController::AdvanceChannels(Cycle from, Cycle until, unsigned max_workers) {
-  const uint32_t n = channels();
-  // The member-count policy: an unconstrained call draws from the shared
-  // thread budget (HT_THREADS / hardware concurrency); an explicit count
-  // is honored exactly so benches can sweep widths.
-  const unsigned width = max_workers == 0 ? std::min(n, ResolveThreadCount(0))
-                                          : std::min(max_workers, n);
-  Cycle now = from;
-  while (now < until) {
-    // Adaptive run-ahead: grow each window to the actual next coupling
-    // event. The chain breaks (and the caller resumes serial ticking)
-    // when no coupling-free stretch remains — typically a response
-    // delivery due at `now` or a non-shardable configuration.
-    Cycle window_end = std::min(until, ShardHorizon(now));
-    if (window_end <= now) {
-      break;
-    }
-    // shard_min_window is the parallel-dispatch threshold, not an
-    // engagement gate: a shorter window (e.g. the ~tCL+tBL stretch to
-    // the next response delivery) still replays channel-major, but
-    // inline — the work is too small to amortize a worker barrier.
-    const unsigned window_width =
-        window_end - now >= config_.shard_min_window ? width : 1;
-    if (trace_ != nullptr && window_width > 1 && !shard_trace_overflow_ &&
-        window_end - now > kTraceShardWindowMax) {
-      window_end = now + kTraceShardWindowMax;
-    }
-    c_sync_barriers_->Increment();
-    h_shard_window_->Record(window_end - now);
-    DispatchShardWindow(now, window_end, window_width);
-    now = window_end;
-    if (trace_ != nullptr && mitigation_ == nullptr) {
-      // Keep the epoch stamps flowing between windows, exactly as the
-      // serial Tick path would at its next wake past the boundary.
-      while (now >= next_epoch_) {
-        trace_->Emit(next_epoch_, TraceKind::kEpochRollover, 0, 0, 0, 0, epoch_index_);
-        ++epoch_index_;
-        next_epoch_ += dram_config_.retention.refresh_window;
-      }
-    }
-  }
-  return now;
-}
-
-void MemoryController::DispatchShardWindow(Cycle from, Cycle until, unsigned width) {
-  const uint32_t n = channels();
-  if (trace_ != nullptr) {
-    if (width <= 1 || shard_trace_overflow_ || PoolFanoutRegion::Active()) {
-      // Single producer: run channels serially in channel order, stamping
-      // each window's sync point with the channel's wake occupancy so
-      // Perfetto shows how full each shard's window was.
-      for (uint32_t c = 0; c < n; ++c) {
-        const uint64_t wakes_before = channels_[c].counters.wake_batches;
-        AdvanceChannel(c, from, until);
-        HT_TRACE(trace_, from, TraceKind::kShardSync, static_cast<uint8_t>(c), 0, 0,
-                 static_cast<uint32_t>(until - from),
-                 channels_[c].counters.wake_batches - wakes_before);
-      }
-      return;
-    }
-    // Parallel traced window: point every channel's device and ACT
-    // counter at a private scratch ring for the duration of the window,
-    // then fold the rings back in channel order — byte-identical to the
-    // serial in-order advance above, for any worker count.
-    if (shard_scratch_.empty()) {
-      shard_scratch_.reserve(n);
-      for (uint32_t c = 0; c < n; ++c) {
-        shard_scratch_.push_back(std::make_unique<TraceBuffer>(
-            "shard_scratch_ch" + std::to_string(c), kTraceScratchCapacity));
-      }
-    }
-    shard_wakes_before_.resize(n);
-    for (uint32_t c = 0; c < n; ++c) {
-      shard_scratch_[c]->Clear();
-      devices_[c]->set_trace(shard_scratch_[c].get());
-      act_counters_[c]->set_trace(shard_scratch_[c].get());
-      shard_wakes_before_[c] = channels_[c].counters.wake_batches;
-    }
-    RunShardMembers(n, width, from, until);
-    {
-      ProfilePhase drain_phase("mc.shard_trace_drain");
-      for (uint32_t c = 0; c < n; ++c) {
-        devices_[c]->set_trace(trace_);
-        act_counters_[c]->set_trace(trace_);
-        if (shard_scratch_[c]->events_dropped() != 0) {
-          // Should be impossible under the window clamp; degrade to the
-          // lossless serial path permanently rather than dropping events.
-          shard_trace_overflow_ = true;
-          stats_.Add("mc.shard_trace_overflow");
-        }
-        trace_->Append(*shard_scratch_[c]);
-        HT_TRACE(trace_, from, TraceKind::kShardSync, static_cast<uint8_t>(c), 0, 0,
-                 static_cast<uint32_t>(until - from),
-                 channels_[c].counters.wake_batches - shard_wakes_before_[c]);
-      }
-    }
-    return;
-  }
-  RunShardMembers(n, width, from, until);
-}
-
-void MemoryController::RunShardMembers(uint32_t n, unsigned width, Cycle from, Cycle until) {
-  if (width <= 1) {
-    for (uint32_t c = 0; c < n; ++c) {
-      AdvanceChannel(c, from, until);
-    }
-    return;
-  }
-  if (PoolFanoutRegion::Active()) {
-    // A multi-scenario fan-out owns the thread budget; don't stack a
-    // per-simulation worker group on top of it.
-    ThreadPool::Shared().Run(
-        n, width, [&](uint64_t c) { AdvanceChannel(static_cast<uint32_t>(c), from, until); });
-    return;
-  }
-  if (shard_group_ == nullptr) {
-    shard_group_ = std::make_unique<ShardWorkerGroup>();
-  }
-  ProfilePhase dispatch_phase("mc.shard_dispatch");
-  shard_group_->Dispatch(
-      n, width, [&](uint64_t c) { AdvanceChannel(static_cast<uint32_t>(c), from, until); });
 }
 
 bool MemoryController::Idle() const {

@@ -31,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/shard_group.h"
 #include "common/stats.h"
 #include "common/telemetry/trace.h"
 #include "common/types.h"
@@ -63,19 +62,6 @@ struct McConfig {
   // bit-identical command streams and stats (scheduler telemetry aside);
   // disable to cross-check or to measure the per-cycle baseline.
   bool event_driven = true;
-  // Per-channel parallel advance: callers (System::Step, benches) may
-  // drive coupling-free windows via AdvanceChannels, which replays each
-  // channel's event loop independently — on the shared thread pool when
-  // no trace buffer is attached. Same bit-identity contract as
-  // event_driven; the only permitted stat difference is the shard
-  // telemetry itself (mc.sync_barriers, mc.shard_wait_cycles). Disable to
-  // cross-check against the purely serial event loop.
-  bool shard_channels = true;
-  // Minimum adaptive window length (cycles) worth a sharded advance.
-  // AdvanceChannels grows each window to the actual next coupling event
-  // (ShardHorizon); stretches shorter than this stay on the serial path.
-  // Exposed as --shard-min-window in hammertime and the scenario benches.
-  Cycle shard_min_window = 64;
 };
 
 // Completion notification for a refresh-instruction invocation.
@@ -110,44 +96,11 @@ class MemoryController {
   // straight to the returned cycle.
   Cycle NextWake(Cycle now) const;
 
-  // Folds the per-channel counter slabs (hits, misses, completions,
-  // latency histograms, scheduler telemetry) into the named stats and
-  // folds lazily-maintained mitigation table probes in. Incremental:
-  // only channels dirtied since the previous sync are merged, as deltas
-  // against a cached per-channel snapshot, so a sampler syncing every
-  // few thousand cycles no longer rebuilds every histogram from scratch.
-  // Detects an external StatSet reset (sentinel mismatch) and falls back
-  // to a full rebuild. Idempotent; the stats() accessors call it, so
-  // readers always see fresh values.
-  void SyncTelemetry();
-
-  // --- Per-channel parallel advance ------------------------------------------
-
-  // Latest cycle (exclusive) up to which channels may provably advance
-  // without cross-channel or MC-to-caller coupling: no mitigation, no ACT
-  // interrupts armed, no pending refresh-done callbacks, no response
-  // deliveries (posted writes, read completions) inside the window, and —
-  // under tracing — not past the next epoch stamp. Returns `now` when the
-  // current configuration or state cannot shard at all.
-  Cycle ShardHorizon(Cycle now) const;
-
-  // Advances every channel independently from `from` toward `until` in a
-  // chain of adaptive windows, each clamped to ShardHorizon — by replaying
-  // each channel's event loop, visiting exactly the cycles the serial path
-  // would scan it at, so commands, device state, and per-channel counters
-  // are bit-identical to serial Ticks over the same span. Windows run on
-  // the persistent ShardWorkerGroup (one long-lived helper per extra
-  // member, epoch-barrier synchronized); max_workers caps the member
-  // count (0 = min(channels, ResolveThreadCount(0)), the shared thread
-  // budget; an explicit nonzero count is honored exactly so benches can
-  // sweep it). During a multi-scenario pool fan-out the group stands down
-  // and the window runs through the shared pool instead. With a trace
-  // buffer attached, channels emit into private scratch rings that are
-  // drained back in channel order at each sync point — the merged stream
-  // is identical for any worker count. Stops at the first window shorter
-  // than shard_min_window and returns the cycle reached; == `from` means
-  // no window engaged and the caller must tick serially.
-  Cycle AdvanceChannels(Cycle from, Cycle until, unsigned max_workers = 0);
+  // Folds the mitigation's lazily maintained table probe count into
+  // act.table_probes. Idempotent; the controller calls it at every
+  // refresh-window rollover, the System at sampler deadlines and before
+  // collecting stats. Every other MC stat is written as it happens.
+  void SyncTableProbes();
 
   // Outstanding work (queued requests, internal ops, in-flight reads).
   bool Idle() const;
@@ -186,24 +139,14 @@ class MemoryController {
   void InstallMitigation(std::unique_ptr<McMitigation> mitigation);
   McMitigation* mitigation() { return mitigation_.get(); }
 
-  // Both accessors fold the per-channel counter slabs into the named
-  // stats first (SyncTelemetry is idempotent and cheap), so mid-run
-  // readers — samplers, summaries, tests — always see current values
-  // without knowing about the slab layout.
-  StatSet& stats() {
-    SyncTelemetry();
-    return stats_;
-  }
-  const StatSet& stats() const {
-    const_cast<MemoryController*>(this)->SyncTelemetry();
-    return stats_;
-  }
+  StatSet& stats() { return stats_; }
+  const StatSet& stats() const { return stats_; }
   const McConfig& config() const { return config_; }
   const DramConfig& dram_config() const { return dram_config_; }
 
   // Attach (or detach with nullptr) a scheduler check observer (see
   // mc/sched_hooks.h): it receives a pre-scan snapshot and the pick of
-  // every request scan. Attached runs never take the sharded path.
+  // every request scan.
   void set_sched_check_observer(SchedulerCheckObserver* check) { sched_check_ = check; }
 
   // Attach (or detach with nullptr) a trace buffer; propagates to every
@@ -265,30 +208,7 @@ class MemoryController {
     }
   };
 
-  // Per-channel telemetry slab: every counted event on a channel lands
-  // here — from the serial Tick path and the sharded advance path alike —
-  // and SyncTelemetry folds the slabs into the named stats. Keeping the
-  // hot-path stores channel-local is what lets AdvanceChannels run
-  // channels on different threads without a single shared counter write.
-  struct ChannelCounters {
-    uint64_t row_hits = 0;
-    uint64_t row_misses = 0;
-    uint64_t row_conflicts = 0;
-    uint64_t reads_done = 0;
-    uint64_t writes_done = 0;
-    uint64_t refs_issued = 0;
-    uint64_t refs_sb_issued = 0;
-    uint64_t refresh_instr_acts = 0;
-    uint64_t wake_batches = 0;        // Scheduling scans this channel ran.
-    uint64_t shard_wait_cycles = 0;   // Cycles idle-skipped inside shard windows.
-    Histogram cmds_per_wake;          // Commands issued per scan (0 or 1).
-    Histogram read_latency;
-    Histogram write_latency;
-  };
-
-  // Cache-line aligned so two channels advanced on different threads
-  // never false-share a line through their hot scheduler fields.
-  struct alignas(64) ChannelState {
+  struct ChannelState {
     std::vector<PendingRequest> slots;  // queue_capacity entries.
     std::vector<uint32_t> free_slots;   // Stack of unused slot indices.
     std::vector<BankQueue> banks;       // ranks * banks (<= 64).
@@ -298,17 +218,6 @@ class MemoryController {
     std::deque<InternalOp> internal_ops;
     std::vector<Cycle> ref_due;  // Per rank.
     std::priority_queue<InFlightRead, std::vector<InFlightRead>, std::greater<>> in_flight;
-    ChannelCounters counters;
-    // Queue composition mirrors (maintained by Enqueue/issue); lets
-    // ShardHorizon bound response-handler deliveries without scanning.
-    uint32_t queued_reads = 0;
-    uint32_t queued_writes = 0;
-    // Incremental-sync state: `synced` is the slab snapshot SyncTelemetry
-    // last folded into the named stats; `sync_dirty` marks slabs touched
-    // since. Only the owning scheduler thread writes either (the caller
-    // reads them strictly after the shard barrier).
-    ChannelCounters synced;
-    bool sync_dirty = true;
     // Scheduler memo: TryRequests provably cannot issue before this cycle
     // unless channel state changes first. Every event that could change a
     // scan's outcome (enqueue, any DDR command issued on the channel,
@@ -325,23 +234,9 @@ class MemoryController {
   // One scheduling step for a channel; issues at most one command.
   // Returns true iff a command issued.
   bool TickChannel(uint32_t channel, Cycle now);
-  // Replays one channel's event loop over [from, until): visits exactly
-  // the wake cycles the serial path would scan it at (max(now, next_try)
-  // joined with in-flight completions) — every other cycle is a provable
-  // no-op. Called concurrently for distinct channels; touches only this
-  // channel's state, device, and counter slab.
-  void AdvanceChannel(uint32_t channel, Cycle from, Cycle until);
   // Each stage returns true iff it issued a command. On false, `retry` is
   // lowered to the earliest cycle the stage could act given unchanged
   // channel state (kNeverCycle when only a state change can unblock it).
-  // Runs one already-clamped shard window [from, until): per-channel
-  // replay on the worker group / shared pool / inline, plus the trace
-  // scratch-ring routing and the per-window kShardSync stamps.
-  void DispatchShardWindow(Cycle from, Cycle until, unsigned width);
-  // Executes AdvanceChannel for all n channels at the given member width:
-  // inline (width 1), on the shared pool (inside a scenario fan-out), or
-  // on the persistent worker group.
-  void RunShardMembers(uint32_t n, unsigned width, Cycle from, Cycle until);
   bool TryRefreshManager(uint32_t channel, Cycle now, Cycle& retry);
   bool TryInternalOps(uint32_t channel, Cycle now, Cycle& retry);
   bool TryRequests(uint32_t channel, Cycle now, Cycle& retry);
@@ -397,33 +292,11 @@ class MemoryController {
   Counter* c_mitigation_refreshes_;
   Counter* c_wake_batches_;      // Per-channel scheduling scans (summed).
   Counter* c_table_probes_;      // Mitigation flat-table probes (synced).
-  Counter* c_sync_barriers_;     // Sharded advance windows dispatched.
-  Counter* c_shard_wait_cycles_; // Cycles idle-skipped inside shard windows.
   Histogram* h_cmds_per_wake_;   // Commands issued per channel scan (0/1).
   Histogram* h_read_latency_;
   Histogram* h_write_latency_;
-  Histogram* h_shard_window_;    // Adaptive shard window lengths (cycles).
   std::vector<Histogram*> h_ch_cmds_per_wake_;  // "mc.chN.cmds_per_wake".
   uint64_t mitigation_probes_synced_ = 0;
-  // Sentinel for the incremental SyncTelemetry: the value mc.wake_batches
-  // held when the per-channel baselines were last advanced. A mismatch
-  // means someone reset/overwrote the named stats externally, so the next
-  // sync rebuilds from scratch.
-  uint64_t wake_batches_synced_ = 0;
-  // Persistent shard workers (lazily created on the first parallel
-  // window) and the per-channel trace scratch rings for traced windows.
-  std::unique_ptr<ShardWorkerGroup> shard_group_;
-  std::vector<std::unique_ptr<TraceBuffer>> shard_scratch_;
-  std::vector<uint64_t> shard_wakes_before_;  // Scratch for kShardSync args.
-  // Set if a traced parallel window ever overflowed its scratch ring
-  // (should be impossible under the window clamp); forces the serial
-  // in-order trace path from then on rather than losing events silently.
-  bool shard_trace_overflow_ = false;
-  bool act_handler_set_ = false;
-  // Refresh-instruction completions that still owe a done callback;
-  // callbacks must fire on the caller thread, so a nonzero count blocks
-  // the shard horizon.
-  size_t pending_done_callbacks_ = 0;
 
   static constexpr size_t kMaxInternalOps = 256;
 };

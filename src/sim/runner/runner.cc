@@ -221,9 +221,6 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
   if (spec.randomize_reset.has_value()) {
     spec.system.mc.act_counter.randomize_reset = *spec.randomize_reset;
   }
-  if (RunnerTelemetry().shard_min_window != 0) {
-    spec.system.mc.shard_min_window = RunnerTelemetry().shard_min_window;
-  }
   if (spec.seed != 0) {
     // Perturb every RNG stream deterministically; distinct multipliers
     // keep the derived seeds decorrelated from one another.
@@ -392,13 +389,9 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
     hooks->on_finish(system);
   }
   if (Profiler::Global().enabled()) [[unlikely]] {
-    // Shard-wait breakdown for the per-channel parallel event loop; cold
-    // read of interned counters, once per scenario.
+    // Cold read of an interned counter, once per scenario.
     Profiler& profiler = Profiler::Global();
-    const StatSet& mc_stats = system.mc().stats();
-    profiler.AddCounter("mc.wake_batches", mc_stats.Get("mc.wake_batches"));
-    profiler.AddCounter("mc.sync_barriers", mc_stats.Get("mc.sync_barriers"));
-    profiler.AddCounter("mc.shard_wait_cycles", mc_stats.Get("mc.shard_wait_cycles"));
+    profiler.AddCounter("mc.wake_batches", system.mc().stats().Get("mc.wake_batches"));
     profiler.AddCounter("runner.scenarios", 1);
     profiler.AddCounter("runner.simulated_cycles", spec.run_cycles);
   }
@@ -430,13 +423,6 @@ std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
   const bool telemetry_on = !options.trace_out.empty() || !options.metrics_out.empty();
   // A single scenario never pays thread-count resolution or pool setup.
   const unsigned workers = specs.size() <= 1 ? 1u : ResolveThreadCount(threads);
-  // While more than one scenario shares the pool, per-MC shard worker
-  // groups stand down (channel shards route through the same pool) so the
-  // two fan-out levels keep drawing from one thread budget.
-  std::optional<PoolFanoutRegion> fanout;
-  if (specs.size() > 1 && workers > 1) {
-    fanout.emplace();
-  }
   if (!telemetry_on) {
     ParallelFor(specs.size(), workers,
                 [&](uint64_t i) { results[i] = RunScenario(specs[i]); });
@@ -465,13 +451,19 @@ std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
   return results;
 }
 
-void AddRunnerFlags(ArgParser& parser) {
+void AddThreadsFlag(ArgParser& parser) {
   parser.Option("threads", "N",
-                "worker threads for scenario fan-out (0 = auto). Scenario fan-out and "
-                "per-scenario channel sharding draw from one shared pool (sized by "
-                "HT_THREADS or hardware concurrency), so N caps concurrent scenarios "
-                "while idle workers help shard channels inside running scenarios",
+                "worker threads for scenario fan-out (0 = auto: HT_THREADS, then the "
+                "hardware concurrency)",
                 "0");
+}
+
+unsigned ThreadsFlag(const ArgParser& parser) {
+  return static_cast<unsigned>(parser.GetUint("threads"));
+}
+
+void AddRunnerFlags(ArgParser& parser) {
+  AddThreadsFlag(parser);
   parser.Option("trace-out", "PATH",
                 "write an event trace: Chrome trace_event JSON, or compact "
                 "hammertime.bin.v1 when PATH ends in .htb");
@@ -479,10 +471,6 @@ void AddRunnerFlags(ArgParser& parser) {
                 "write a hammertime.metrics.v1 run report (binary when PATH ends in .htb)");
   parser.Option("sample-every", "N",
                 "stat-sampler period in cycles (default 16384 when --metrics-out is set)");
-  parser.Option("shard-min-window", "N",
-                "minimum adaptive channel-shard window in cycles (0 = keep each "
-                "scenario's configured value, default 64); coupling-free stretches "
-                "shorter than N run on the serial event path");
   parser.Flag("profile",
               "self-profile the harness (phase timers, pool gauges) into the metrics "
               "report's profile section; also honored via HT_PROFILE=1");
@@ -496,13 +484,12 @@ unsigned ApplyRunnerFlags(const ArgParser& parser) {
   if (!options.metrics_out.empty() && options.sample_every == 0) {
     options.sample_every = kDefaultSampleEvery;
   }
-  options.shard_min_window = parser.GetUint("shard-min-window");
   const char* env_profile = std::getenv("HT_PROFILE");
   if (parser.GetBool("profile") ||
       (env_profile != nullptr && *env_profile != '\0' && *env_profile != '0')) {
     Profiler::Global().Enable();
   }
-  return static_cast<unsigned>(parser.GetUint("threads"));
+  return ThreadsFlag(parser);
 }
 
 }  // namespace ht

@@ -85,9 +85,6 @@ struct RunnerTelemetryOptions {
   std::string trace_out;    // Chrome trace_event JSON for all scenarios.
   std::string metrics_out;  // hammertime.metrics.v1 run-report document.
   Cycle sample_every = 0;   // Sampler period; defaulted when metrics_out set.
-  // Overrides McConfig::shard_min_window for every scenario when nonzero
-  // (--shard-min-window in hammertime and the scenario benches).
-  Cycle shard_min_window = 0;
 };
 
 RunnerTelemetryOptions& RunnerTelemetry();
@@ -161,9 +158,16 @@ std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
 
 // --- Shared flag plumbing ----------------------------------------------------
 
+// Registers --threads alone: the campaign CLIs fan cells out themselves
+// and write no per-scenario telemetry, so they take no telemetry flags.
+void AddThreadsFlag(ArgParser& parser);
+
+// The --threads value (0 = auto).
+unsigned ThreadsFlag(const ArgParser& parser);
+
 // Registers the runner's shared flags (--threads, --trace-out,
-// --metrics-out, --sample-every) on `parser`, so every executable spells
-// them identically.
+// --metrics-out, --sample-every, --profile) on `parser`, so every
+// executable spells them identically.
 void AddRunnerFlags(ArgParser& parser);
 
 // Reads the shared flags back, installs the process-wide telemetry

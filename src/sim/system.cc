@@ -105,9 +105,7 @@ DmaEngine& System::AddDma(DomainId domain, const DmaConfig& dma_config) {
 void System::InstallDefense(std::unique_ptr<Defense> defense) {
   defense_ = std::move(defense);
   if (defense_ != nullptr) {
-    // Arm the ACT interrupt route only when something listens: an armed
-    // handler pins the MC to the serial path (ShardHorizon), so systems
-    // without a defense keep the full channel-sharding window.
+    // Arm the ACT interrupt route only when something listens.
     mc_->SetActInterruptHandler([this](const ActInterrupt& irq) {
       if (defense_ != nullptr) {
         defense_->OnActInterrupt(irq, now_);
@@ -142,37 +140,10 @@ void System::Step(Cycle end) {
   if (now_ >= sample_next_) [[unlikely]] {
     // Stamped at the boundary cycle even if ticking overshot it (cannot
     // happen while NextWakeCycle includes sample_next_, but stay exact).
-    mc_->SyncTelemetry();  // The sampler reads the MC StatSet directly.
+    mc_->SyncTableProbes();  // The sampler reads the MC StatSet directly.
     while (now_ >= sample_next_) {
       sampler_.Sample(sample_next_);
       sample_next_ += sampler_.period();
-    }
-  }
-  if (config_.skip_idle && config_.mc.shard_channels && mc_->channels() > 1) {
-    // Channel-sharding window: while every non-MC component is provably
-    // idle (strictly before its NextWake) and no sample boundary is due,
-    // the MC's channels decouple — advance them in parallel up to the
-    // earliest external interaction, then fall back to lockstep ticking.
-    // The adaptive horizon inside AdvanceChannels decides how much of the
-    // stretch is actually worth windowing (>= shard_min_window per
-    // window), so busy phases with stalled cores engage just as well as
-    // idle/refresh tails; any offer it declines is ticked serially below.
-    Cycle horizon = std::min(end, sample_next_);
-    for (const auto& core : cores_) {
-      horizon = std::min(horizon, core->NextWake(now_));
-    }
-    for (const auto& dma : dmas_) {
-      horizon = std::min(horizon, dma->NextWake(now_));
-    }
-    if (defense_ != nullptr) {
-      horizon = std::min(horizon, defense_->NextWake(now_));
-    }
-    if (horizon > now_) {
-      const Cycle reached = mc_->AdvanceChannels(now_, horizon);
-      if (reached > now_) {
-        now_ = reached;
-        return;
-      }
     }
   }
   mc_->Tick(now_);
@@ -262,7 +233,7 @@ StatSet System::CollectStats() const {
   for (const auto& core : cores_) {
     core->SyncStallStats(now_);
   }
-  mc_->SyncTelemetry();
+  mc_->SyncTableProbes();
   StatSet merged;
   merged.MergeFrom(mc_->stats());
   for (uint32_t c = 0; c < mc_->channels(); ++c) {

@@ -138,7 +138,7 @@ std::vector<TraceBufferSnapshot> SampleTrace() {
   buffer.events = {
       {100, TraceKind::kAct, 0, 0, 3, 4096, 0},
       {130, TraceKind::kBitFlip, 0, 1, 3, 4097, (uint64_t{3} << 32) | 4095},
-      {131, TraceKind::kShardSync, 1, 0, 0, 2048, 17},
+      {131, TraceKind::kDefenseTrigger, 1, 0, 0, 2048, 17},
       {200, TraceKind::kPageMove, 0, 0, 0, 0, 0xdeadbeef},
   };
   TraceBufferSnapshot empty;
@@ -203,6 +203,25 @@ TEST(BinaryTrace, RejectsTruncation) {
     EXPECT_FALSE(DecodeTraceBinary(std::string_view(encoded).substr(0, len), &error).has_value())
         << "prefix of " << len << " bytes decoded";
   }
+}
+
+TEST(BinaryTrace, RejectsUnknownTraceKinds) {
+  // 13 is a retired kind; everything past kPageMove was never assigned.
+  for (const uint8_t kind : {uint8_t{13}, uint8_t{18}, uint8_t{255}}) {
+    TraceBufferSnapshot buffer;
+    buffer.label = "corrupt";
+    buffer.capacity = 4;
+    buffer.emitted = 1;
+    buffer.events = {{100, static_cast<TraceKind>(kind), 0, 0, 0, 7, 0}};
+    std::string error;
+    EXPECT_FALSE(DecodeTraceBinary(EncodeTraceBinary({buffer}), &error).has_value())
+        << "kind " << static_cast<int>(kind) << " decoded";
+    EXPECT_NE(error.find("unknown trace kind"), std::string::npos) << error;
+  }
+  // The kinds on either side of the gap keep their wire values.
+  EXPECT_EQ(static_cast<uint8_t>(TraceKind::kEpochRollover), 12);
+  EXPECT_EQ(static_cast<uint8_t>(TraceKind::kDefenseTrigger), 14);
+  EXPECT_EQ(static_cast<uint8_t>(TraceKind::kPageMove), 17);
 }
 
 TEST(BinaryFile, ExtensionDispatchAndContentSniff) {

@@ -28,23 +28,15 @@ namespace {
 // per-channel cmds_per_wake histograms count one entry per channel scan,
 // so legacy mode's every-cycle scans dwarf the event mode's).
 bool IsSchedulerTelemetry(const std::string& name) {
-  if (name == "mc.wake_batches" || name == "mc.cmds_per_wake" || name == "mc.sync_barriers" ||
-      name == "mc.shard_wait_cycles" || name == "mc.shard_window") {
+  if (name == "mc.wake_batches" || name == "mc.cmds_per_wake") {
     return true;
   }
   return name.rfind("mc.ch", 0) == 0 &&
          name.size() >= 14 && name.compare(name.size() - 14, 14, ".cmds_per_wake") == 0;
 }
 
-// Stats that measure the channel-sharding machinery itself; the ONLY
-// permitted differences between a sharded and a serial event-driven run.
-// Wake telemetry is NOT exempted there: the shard replay loop visits
-// exactly the serial path's wake cycles, so even mc.cmds_per_wake must
-// match bit-for-bit.
-bool IsShardTelemetry(const std::string& name) {
-  return name == "mc.sync_barriers" || name == "mc.shard_wait_cycles" ||
-         name == "mc.shard_window";
-}
+// Nothing is exempt: a comparison whose two sides scan the same cycles.
+bool NoExemptions(const std::string&) { return false; }
 
 void ExpectStatsIdentical(const StatSet& a, const StatSet& b,
                           bool (*exempt)(const std::string&) = IsSchedulerTelemetry) {
@@ -150,15 +142,14 @@ TEST(EventScheduling, MatchesLegacyUnderGrapheneWithPerBankRefresh) {
   ExpectVariantsMatch(Hw::kGraphene, true, 450000);
 }
 
-// Two-channel system with finite benign workloads: the busy phase runs
-// lockstep (cores cap the horizon at `now`), then the refresh-only tail
-// decouples the channels and the sharded advance engages.
-VariantOutcome RunShardVariant(bool shard, Cycle cycles) {
+// Two-channel system with finite benign workloads: a busy phase, then a
+// refresh-only tail that idle skipping jumps through.
+VariantOutcome RunTwoChannelVariant(bool skip_idle, Cycle cycles) {
   SystemConfig config;
   config.cores = 2;
   config.core.window = 2;
   config.dram.org.channels = 2;
-  config.mc.shard_channels = shard;
+  config.skip_idle = skip_idle;
   config.dram.retention.refresh_window = 200000;
   config.dram.retention.ref_commands_per_window = 64;
 
@@ -180,19 +171,17 @@ VariantOutcome RunShardVariant(bool shard, Cycle cycles) {
   return outcome;
 }
 
-TEST(EventScheduling, ShardedMatchesSerialBitForBit) {
-  const VariantOutcome sharded = RunShardVariant(true, 600000);
-  const VariantOutcome serial = RunShardVariant(false, 600000);
-  EXPECT_EQ(sharded.end, serial.end);
-  EXPECT_EQ(sharded.flips, serial.flips);
-  EXPECT_EQ(sharded.ops, serial.ops);
-  // Wake telemetry included: the shard loop reproduces the serial wake
-  // pattern exactly, so only the shard counters themselves may differ.
-  ExpectStatsIdentical(sharded.stats, serial.stats, IsShardTelemetry);
-  EXPECT_EQ(sharded.wake_batches, serial.wake_batches);
-  // The sharded path actually engaged (refresh-only tail windows).
-  EXPECT_GT(sharded.stats.Get("mc.sync_barriers"), 0u);
-  EXPECT_EQ(serial.stats.Get("mc.sync_barriers"), 0u);
+TEST(EventScheduling, SkipIdleMatchesTickingOnTwoChannels) {
+  const VariantOutcome skipping = RunTwoChannelVariant(true, 600000);
+  const VariantOutcome ticking = RunTwoChannelVariant(false, 600000);
+  EXPECT_EQ(skipping.end, ticking.end);
+  EXPECT_EQ(skipping.flips, ticking.flips);
+  EXPECT_EQ(skipping.ops, ticking.ops);
+  EXPECT_GT(skipping.ops, 0u);
+  // Wake telemetry included: each channel's scan memo, not the System
+  // clock, decides when it scans, so both runs scan the same cycles.
+  ExpectStatsIdentical(skipping.stats, ticking.stats, NoExemptions);
+  EXPECT_EQ(skipping.wake_batches, ticking.wake_batches);
 }
 
 TEST(EventScheduling, StallCountersSurviveRepeatedCollection) {

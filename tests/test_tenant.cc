@@ -206,23 +206,23 @@ TEST(CloudScenario, IsolationCentricPlacementDeniesEscapes) {
   EXPECT_EQ(result.tenants_hit, 0u);
 }
 
-TEST(CloudScenario, ShardedAdvanceMatchesSerialOnTrafficMix) {
-  // Channel sharding is a scheduling strategy: a cloud traffic-mix run —
-  // tenant streams, churn, flip harvesting — must produce the same
-  // result document whether the MC advances channels sharded or purely
-  // serially. (The shard path engages during the stretches where every
-  // stream core is stalled or idle.)
+TEST(CloudScenario, SkipIdleMatchesTickingOnTwoChannels) {
+  // Idle skipping is a clock optimisation: a two-channel cloud traffic-mix
+  // run — multiplexed tenant streams, churn, flip harvesting — must
+  // produce the same result document when the System ticks every cycle.
   ScenarioSpec spec = CloudSpec("none");
   spec.run_cycles = 400000;
-  ScenarioSpec serial_spec = spec;
-  serial_spec.system.mc.shard_channels = false;
-  const ScenarioResult sharded = RunScenario(spec);
-  const ScenarioResult serial = RunScenario(serial_spec);
-  EXPECT_EQ(sharded.tenant_map_fingerprint, serial.tenant_map_fingerprint);
+  spec.system.dram.org.channels = 2;
+  ScenarioSpec ticking_spec = spec;
+  ticking_spec.system.skip_idle = false;
+  const ScenarioResult skipping = RunScenario(spec);
+  const ScenarioResult ticking = RunScenario(ticking_spec);
+  EXPECT_GT(skipping.churn_events, 0u);
+  EXPECT_EQ(skipping.tenant_map_fingerprint, ticking.tenant_map_fingerprint);
   std::ostringstream a;
   std::ostringstream b;
-  ScenarioResultToJson(sharded).Dump(a);
-  ScenarioResultToJson(serial).Dump(b);
+  ScenarioResultToJson(skipping).Dump(a);
+  ScenarioResultToJson(ticking).Dump(b);
   EXPECT_EQ(a.str(), b.str());
 }
 

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/shard_group.h"
 #include "common/telemetry/profile.h"
 #include "common/thread_pool.h"
 
@@ -220,80 +219,6 @@ TEST(PoolStatsTest, BusySecondsAccumulateOnlyUnderTheProfiler) {
 TEST(ResolveThreadCountTest, ExplicitRequestWins) {
   EXPECT_EQ(ResolveThreadCount(3), 3u);
   EXPECT_EQ(ResolveThreadCount(1), 1u);
-}
-
-// --- ShardWorkerGroup --------------------------------------------------------
-
-TEST(ShardGroupTest, StripesEveryJobExactlyOnceAcrossManyDispatches) {
-  ShardWorkerGroup group;
-  const uint64_t jobs = 16;
-  std::vector<uint64_t> slots(jobs, 0);
-  // Many dispatches through one group: helpers are spawned once on the
-  // first wide window and must park/unpark correctly on every epoch.
-  const int rounds = 200;
-  for (int r = 0; r < rounds; ++r) {
-    group.Dispatch(jobs, 4, [&](uint64_t i) { slots[i] += i + 1; });
-  }
-  for (uint64_t i = 0; i < jobs; ++i) {
-    EXPECT_EQ(slots[i], (i + 1) * rounds) << "job " << i;
-  }
-  EXPECT_EQ(group.helpers(), 3u);
-  EXPECT_EQ(group.stats().dispatches, static_cast<uint64_t>(rounds));
-}
-
-TEST(ShardGroupTest, WidthChangesReuseTheWidestHelperSet) {
-  ShardWorkerGroup group;
-  std::atomic<uint64_t> total{0};
-  for (unsigned width : {8u, 2u, 4u, 1u, 8u}) {
-    group.Dispatch(8, width, [&](uint64_t) { total.fetch_add(1, std::memory_order_relaxed); });
-  }
-  EXPECT_EQ(total.load(), 40u);
-  // 8-wide dispatches spawned 7 helpers; narrower ones park the rest.
-  EXPECT_EQ(group.helpers(), 7u);
-}
-
-TEST(ShardGroupTest, SingleMemberRunsInlineOnCallingThread) {
-  ShardWorkerGroup group;
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ran(3);
-  group.Dispatch(3, 1, [&](uint64_t i) { ran[i] = std::this_thread::get_id(); });
-  for (const std::thread::id& id : ran) {
-    EXPECT_EQ(id, caller);
-  }
-  EXPECT_EQ(group.helpers(), 0u);  // Inline runs never spawn helpers.
-  EXPECT_EQ(group.stats().inline_runs, 1u);
-  EXPECT_EQ(group.stats().dispatches, 0u);
-}
-
-TEST(ShardGroupTest, ExceptionPropagatesAndGroupStaysUsable) {
-  ShardWorkerGroup group;
-  EXPECT_THROW(
-      group.Dispatch(8, 4,
-                     [&](uint64_t i) {
-                       if (i == 5) {
-                         throw std::runtime_error("boom");
-                       }
-                     }),
-      std::runtime_error);
-  // The barrier completed despite the throw; the group keeps working.
-  std::atomic<uint64_t> total{0};
-  group.Dispatch(8, 4, [&](uint64_t) { total.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(total.load(), 8u);
-}
-
-TEST(ShardGroupTest, DispatchFoldsIntoSharedPoolStats) {
-  ThreadPool& pool = ThreadPool::Shared();
-  pool.ResetStats();
-  ShardWorkerGroup group;
-  group.Dispatch(8, 4, [](uint64_t) {});
-  group.Dispatch(8, 4, [](uint64_t) {});
-  const PoolStats stats = pool.stats();
-  // External dispatches account like pool tasks: one task and one
-  // queue-depth slot per window, `jobs` jobs — so pool.busy dashboards
-  // see persistent-group work too.
-  EXPECT_EQ(stats.tasks, 2u);
-  EXPECT_EQ(stats.jobs, 16u);
-  EXPECT_EQ(stats.queue_peak, 1u);
 }
 
 TEST(ResolveThreadCountTest, EnvironmentThenHardwareFallback) {

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
               "write the cloud report here (default: stdout; binary when FILE ends in .htb)")
       .Flag("merge", "merge shard report files (positionals) instead of running")
       .Flag("list", "print the expanded cell list without running anything");
-  AddRunnerFlags(parser);
+  AddThreadsFlag(parser);
   parser.AllowPositionals("report files for --merge");
   if (!parser.Parse(argc, argv)) {
     return Fail(parser.error());
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   grid.run_cycles = parser.GetUint("cycles");
 
   SweepOptions options;
-  options.threads = ApplyRunnerFlags(parser);
+  options.threads = ThreadsFlag(parser);
   options.cache_dir = parser.Get("cache-dir");
   options.resume = parser.GetBool("resume");
   options.binary_cache = parser.GetBool("binary-cache");

@@ -7,13 +7,11 @@
 //    while the differential oracle (check/oracle.h) shadows every command
 //    with the naive reference models;
 //  * scenario cases build a full attack/defense System from the seed and
-//    run it FIVE ways — {skip-idle, tick-by-tick} × {serial, inside
-//    ParallelFor}, all with channel sharding off, plus a channel-sharded
-//    skip-idle run — each with a SystemOracle attached, then require all
-//    oracles clean, all ScenarioResults identical, and all CollectStats()
-//    StatSets structurally equal (the shard machinery's own counters,
-//    mc.sync_barriers and mc.shard_wait_cycles, are the one permitted
-//    value difference);
+//    run it four ways — {skip-idle, tick-by-tick} × {serial, inside
+//    ParallelFor} — each with a SystemOracle (device commands) and a
+//    SchedulerOracle (every FR-FCFS pick, check/sched_ref.h) attached,
+//    then require all oracles clean, all ScenarioResults identical, and
+//    all CollectStats() StatSets equal;
 //  * pattern cases build a random HammeringPattern and cross-check the
 //    builder's frame schedule and PatternHammerStream emission against
 //    the naive modular-arithmetic expander (check/pattern_ref.h).
@@ -39,6 +37,7 @@
 
 #include "check/generator.h"
 #include "check/oracle.h"
+#include "check/sched_ref.h"
 #include "common/argparse.h"
 #include "common/thread_pool.h"
 #include "sim/runner/runner.h"
@@ -152,28 +151,40 @@ struct VariantOutcome {
   bool oracle_ok = true;
   uint64_t commands = 0;
   std::string oracle_report;
+  bool sched_ok = true;
+  uint64_t sched_scans = 0;
+  std::string sched_report;
 };
 
-VariantOutcome RunScenarioVariant(const FuzzCase& fuzz_case, bool skip_idle, bool shard) {
+VariantOutcome RunScenarioVariant(const FuzzCase& fuzz_case, bool skip_idle) {
   ScenarioSpec spec = SpecFromCase(fuzz_case);
   spec.system.skip_idle = skip_idle;
-  spec.system.mc.shard_channels = shard;
   OracleOptions oracle_options;
   oracle_options.break_reference_after = fuzz_case.inject_after;
   SystemOracle oracle(oracle_options);
+  SchedulerOracle sched_oracle;
   VariantOutcome out;
   ScenarioHooks hooks;
-  hooks.on_start = [&](System& system) { oracle.Attach(system); };
+  hooks.on_start = [&](System& system) {
+    oracle.Attach(system);
+    system.mc().set_sched_check_observer(&sched_oracle);
+  };
   hooks.on_finish = [&](System& system) {
     oracle.FinalCheck();
     out.stats = system.CollectStats();
     oracle.Detach(system);
+    system.mc().set_sched_check_observer(nullptr);
   };
   out.result = RunScenario(spec, nullptr, &hooks);
   out.oracle_ok = oracle.ok();
   out.commands = oracle.commands_observed();
   if (!out.oracle_ok) {
     out.oracle_report = oracle.Report();
+  }
+  out.sched_ok = sched_oracle.ok();
+  out.sched_scans = sched_oracle.scans_checked();
+  if (!out.sched_ok) {
+    out.sched_report = sched_oracle.Report();
   }
   return out;
 }
@@ -205,14 +216,6 @@ std::string DiffResults(const ScenarioResult& a, const ScenarioResult& b) {
   return out.str();
 }
 
-// Counters that measure the channel-sharding machinery itself; their
-// names must still exist in every variant, but their values legitimately
-// differ between sharded and serial runs.
-bool IsShardTelemetry(const std::string& name) {
-  return name == "mc.sync_barriers" || name == "mc.shard_wait_cycles" ||
-         name == "mc.shard_window";
-}
-
 // First difference between two StatSets (keys and values), or "".
 std::string DiffStatSets(const StatSet& a, const StatSet& b) {
   if (a.counters().size() != b.counters().size() || a.gauges().size() != b.gauges().size() ||
@@ -223,9 +226,6 @@ std::string DiffStatSets(const StatSet& a, const StatSet& b) {
        it_a != a.counters().end(); ++it_a, ++it_b) {
     if (it_a->first != it_b->first) {
       return "counter name mismatch: " + it_a->first + " vs " + it_b->first;
-    }
-    if (IsShardTelemetry(it_a->first)) {
-      continue;
     }
     if (it_a->second.value() != it_b->second.value()) {
       return "counter " + it_a->first + ": " + std::to_string(it_a->second.value()) + " vs " +
@@ -247,9 +247,6 @@ std::string DiffStatSets(const StatSet& a, const StatSet& b) {
     if (it_a->first != it_b->first) {
       return "histogram name mismatch: " + it_a->first + " vs " + it_b->first;
     }
-    if (IsShardTelemetry(it_a->first)) {
-      continue;
-    }
     if (it_a->second != it_b->second) {
       return "histogram " + it_a->first + " differs";
     }
@@ -260,33 +257,32 @@ std::string DiffStatSets(const StatSet& a, const StatSet& b) {
 struct ScenarioCaseOutcome {
   bool failed = false;
   std::string report;  // Non-empty iff failed.
+  uint64_t sched_scans = 0;  // Scheduler-oracle scans over all variants.
 };
 
 ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
   // Serial pair, then the same pair inside ParallelFor — the scenario
-  // runner's documented bit-identical contract under any worker count —
-  // and finally the channel-sharded skip-idle run against the serial one.
-  VariantOutcome serial_skip =
-      RunScenarioVariant(fuzz_case, /*skip_idle=*/true, /*shard=*/false);
-  VariantOutcome serial_tick =
-      RunScenarioVariant(fuzz_case, /*skip_idle=*/false, /*shard=*/false);
+  // runner's documented bit-identical contract under any worker count.
+  VariantOutcome serial_skip = RunScenarioVariant(fuzz_case, /*skip_idle=*/true);
+  VariantOutcome serial_tick = RunScenarioVariant(fuzz_case, /*skip_idle=*/false);
   VariantOutcome parallel[2];
-  ParallelFor(2, 2, [&](uint64_t i) {
-    parallel[i] = RunScenarioVariant(fuzz_case, i == 0, /*shard=*/false);
-  });
-  VariantOutcome sharded = RunScenarioVariant(fuzz_case, /*skip_idle=*/true, /*shard=*/true);
+  ParallelFor(2, 2, [&](uint64_t i) { parallel[i] = RunScenarioVariant(fuzz_case, i == 0); });
 
   std::ostringstream problems;
+  ScenarioCaseOutcome outcome;
   const auto oracle_check = [&](const char* label, const VariantOutcome& v) {
     if (!v.oracle_ok) {
       problems << "[" << label << "] oracle divergence:\n" << v.oracle_report << "\n";
     }
+    if (!v.sched_ok) {
+      problems << "[" << label << "] scheduler divergence:\n" << v.sched_report << "\n";
+    }
+    outcome.sched_scans += v.sched_scans;
   };
   oracle_check("serial/skip-idle", serial_skip);
   oracle_check("serial/tick", serial_tick);
   oracle_check("parallel/skip-idle", parallel[0]);
   oracle_check("parallel/tick", parallel[1]);
-  oracle_check("sharded/skip-idle", sharded);
 
   const auto pair_check = [&](const char* label, const VariantOutcome& a,
                               const VariantOutcome& b) {
@@ -304,9 +300,7 @@ ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
   pair_check("skip-idle vs tick", serial_skip, serial_tick);
   pair_check("serial vs parallel (skip-idle)", serial_skip, parallel[0]);
   pair_check("serial vs parallel (tick)", serial_tick, parallel[1]);
-  pair_check("serial vs sharded (skip-idle)", serial_skip, sharded);
 
-  ScenarioCaseOutcome outcome;
   outcome.failed = problems.tellp() != 0;
   if (outcome.failed) {
     outcome.report = fuzz_case.ToSeedLine() + "\n" + problems.str();
@@ -374,7 +368,7 @@ CaseOutcome RunCase(const FuzzCase& fuzz_case) {
     const ScenarioCaseOutcome scenario = RunScenarioCase(fuzz_case);
     outcome.failed = scenario.failed;
     outcome.report = scenario.report;
-    outcome.summary = "5-way differential";
+    outcome.summary = "4-way differential, sched-scans=" + std::to_string(scenario.sched_scans);
   }
   return outcome;
 }
@@ -513,7 +507,7 @@ int Generate(const CliOptions& options) {
       fuzz_case.kind = FuzzCase::Kind::kScenario;
     } else if (options.mode == "pattern") {
       fuzz_case.kind = FuzzCase::Kind::kPattern;
-    } else {  // both: device-heavy, scenarios cost ~4 full-system runs.
+    } else {  // both: device-heavy, scenarios cost 4 full-system runs.
       fuzz_case.kind = i % 4 == 3 ? FuzzCase::Kind::kScenario : FuzzCase::Kind::kDevice;
     }
     fuzz_case.steps = 8000 + steps_draw;

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
               "write the pattern report here (default: stdout; binary when FILE ends in .htb)")
       .Flag("merge", "merge shard report files (positionals) instead of running")
       .Flag("list", "print the expanded cell list without running anything");
-  AddRunnerFlags(parser);
+  AddThreadsFlag(parser);
   parser.AllowPositionals("report files for --merge");
   if (!parser.Parse(argc, argv)) {
     return Fail(parser.error());
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   grid.scenario_seed = parser.GetUint("scenario-seed");
 
   SweepOptions options;
-  options.threads = ApplyRunnerFlags(parser);
+  options.threads = ThreadsFlag(parser);
   options.cache_dir = parser.Get("cache-dir");
   options.resume = parser.GetBool("resume");
   options.binary_cache = parser.GetBool("binary-cache");
