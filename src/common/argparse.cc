@@ -1,6 +1,9 @@
 #include "common/argparse.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -158,14 +161,76 @@ const std::string& ArgParser::Get(std::string_view name) const {
   return spec->set ? spec->value : spec->default_value;
 }
 
-uint64_t ArgParser::GetUint(std::string_view name) const {
-  const std::string& text = Get(name);
-  return text.empty() ? 0 : std::strtoull(text.c_str(), nullptr, 10);
+namespace {
+
+// Decimal or 0x-prefixed hex digits, nothing else: no sign, no space, no
+// exponent or suffix, no octal reading of a leading 0, and no overflow.
+bool ParseUnsigned(std::string_view text, uint64_t* out) {
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    base = 16;
+    text.remove_prefix(2);
+  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
 }
 
-int64_t ArgParser::GetInt(std::string_view name) const {
+}  // namespace
+
+void ArgParser::BadValue(std::string_view name, const std::string& text,
+                         const std::string& why) const {
+  std::fprintf(stderr, "%s: error: --%s: '%s' %s (try --help)\n", program_.c_str(),
+               std::string(name).c_str(), text.c_str(), why.c_str());
+  std::exit(2);
+}
+
+uint64_t ArgParser::ParseUint(std::string_view name, const std::string& text,
+                              uint64_t max) const {
+  uint64_t value = 0;
+  if (!ParseUnsigned(text, &value)) {
+    BadValue(name, text, "is not an unsigned integer (decimal or 0x hex)");
+  }
+  if (value > max) {
+    BadValue(name, text, "is out of range (max " + std::to_string(max) + ")");
+  }
+  return value;
+}
+
+int64_t ArgParser::ParseInt(std::string_view name, const std::string& text, int64_t min,
+                            int64_t max) const {
+  const bool negative = !text.empty() && text[0] == '-';
+  uint64_t magnitude = 0;
+  if (!ParseUnsigned(std::string_view(text).substr(negative ? 1 : 0), &magnitude) ||
+      magnitude > (negative ? uint64_t{1} << 63 : (uint64_t{1} << 63) - 1)) {
+    BadValue(name, text, "is not an integer (decimal or 0x hex, optional '-')");
+  }
+  const int64_t value =
+      negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
+  if (value < min || value > max) {
+    BadValue(name, text,
+             "is out of range [" + std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+double ArgParser::GetDouble(std::string_view name, double min, double max) const {
   const std::string& text = Get(name);
-  return text.empty() ? 0 : std::strtoll(text.c_str(), nullptr, 10);
+  if (text.empty()) {
+    return 0.0;
+  }
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    BadValue(name, text, "is not a finite number");
+  }
+  if (value < min || value > max) {
+    std::ostringstream range;
+    range << "is out of range [" << min << ", " << max << "]";
+    BadValue(name, text, range.str());
+  }
+  return value;
 }
 
 std::vector<std::string> ArgParser::GetStrings(std::string_view name) const {
@@ -189,39 +254,17 @@ std::vector<std::string> ArgParser::GetStrings(std::string_view name) const {
   return out;
 }
 
-std::vector<uint64_t> ArgParser::GetUints(std::string_view name) const {
-  std::vector<uint64_t> out;
-  for (const std::string& item : GetStrings(name)) {
-    out.push_back(std::strtoull(item.c_str(), nullptr, 10));
-  }
-  return out;
-}
-
-std::vector<int64_t> ArgParser::GetInts(std::string_view name) const {
-  std::vector<int64_t> out;
-  for (const std::string& item : GetStrings(name)) {
-    out.push_back(std::strtoll(item.c_str(), nullptr, 10));
-  }
-  return out;
-}
-
 bool ParseShard(std::string_view text, uint32_t* index, uint32_t* count) {
   const size_t slash = text.find('/');
   if (slash == std::string_view::npos || slash == 0 || slash + 1 >= text.size()) {
     return false;
   }
-  const std::string k(text.substr(0, slash));
-  const std::string n(text.substr(slash + 1));
-  char* end = nullptr;
-  const unsigned long ki = std::strtoul(k.c_str(), &end, 10);
-  if (end != k.c_str() + k.size()) {
+  uint64_t ki = 0;
+  uint64_t ni = 0;
+  if (!ParseUnsigned(text.substr(0, slash), &ki) || !ParseUnsigned(text.substr(slash + 1), &ni)) {
     return false;
   }
-  const unsigned long ni = std::strtoul(n.c_str(), &end, 10);
-  if (end != n.c_str() + n.size()) {
-    return false;
-  }
-  if (ni == 0 || ki == 0 || ki > ni) {
+  if (ni == 0 || ki == 0 || ki > ni || ni > std::numeric_limits<uint32_t>::max()) {
     return false;
   }
   *index = static_cast<uint32_t>(ki);

@@ -9,7 +9,7 @@
 // When enabled (--profile or HT_PROFILE=1), phase timers, counters, and
 // gauges accumulate in the process-wide Profiler and surface in two
 // places: a `profile` section appended to hammertime.metrics.v1
-// documents (validated by trace_check --metrics), and the hammersweep
+// documents (validated by trace_check --metrics), and the hammercampaign
 // --progress-every heartbeat lines.
 #ifndef HAMMERTIME_SRC_COMMON_TELEMETRY_PROFILE_H_
 #define HAMMERTIME_SRC_COMMON_TELEMETRY_PROFILE_H_

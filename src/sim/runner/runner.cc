@@ -459,7 +459,7 @@ void AddThreadsFlag(ArgParser& parser) {
 }
 
 unsigned ThreadsFlag(const ArgParser& parser) {
-  return static_cast<unsigned>(parser.GetUint("threads"));
+  return parser.GetNumber<unsigned>("threads");
 }
 
 void AddRunnerFlags(ArgParser& parser) {

@@ -52,6 +52,13 @@ bool ValidateSweepCell(const JsonValue& doc, const std::string& key, std::string
   if (stats == nullptr || stats->type() != JsonValue::Type::kObject) {
     return fail("missing stats object");
   }
+  const JsonValue* digest = doc.Find("digest");
+  if (digest == nullptr || digest->type() != JsonValue::Type::kString) {
+    return fail("missing digest");
+  }
+  if (digest->as_string() != CellDigest(*result, *stats)) {
+    return fail("result/stats do not match digest " + digest->as_string());
+  }
   return true;
 }
 
@@ -63,9 +70,6 @@ std::string ResultCache::PathFor(const std::string& key) const {
 
 std::optional<JsonValue> ResultCache::Load(const std::string& key, std::string* why) const {
   if (!enabled()) {
-    if (why != nullptr) {
-      *why = "cache disabled";
-    }
     return std::nullopt;
   }
   // Try the configured format first, then the other one: mixed-mode
@@ -78,14 +82,18 @@ std::optional<JsonValue> ResultCache::Load(const std::string& key, std::string* 
   std::string read_error;
   std::optional<JsonValue> doc;
   for (const char* extension : extensions) {
+    std::error_code ec;
+    if (!std::filesystem::exists(base + extension, ec)) {
+      continue;
+    }
     doc = ReadTelemetryDocument(base + extension, &read_error);
     if (doc.has_value()) {
       break;
     }
   }
   if (!doc.has_value()) {
-    if (why != nullptr) {
-      *why = "no usable cache entry: " + read_error;
+    if (why != nullptr && !read_error.empty()) {
+      *why = "unreadable cache entry: " + read_error;
     }
     return std::nullopt;
   }

@@ -4,8 +4,9 @@
 // canonical spec serialization (see sweep.h). Entries are written
 // atomically (tmp file + rename) so a sweep killed mid-store never leaves
 // a half-written cell, and every load re-derives the key from the stored
-// spec — a corrupt, truncated, or hand-edited entry fails validation and
-// is recomputed rather than trusted.
+// spec and the digest from the stored result and stats — a corrupt,
+// truncated, or hand-edited entry fails validation and is recomputed
+// rather than trusted.
 #ifndef HAMMERTIME_SRC_SIM_SWEEP_CACHE_H_
 #define HAMMERTIME_SRC_SIM_SWEEP_CACHE_H_
 
@@ -21,8 +22,9 @@ inline constexpr const char* kSweepCellSchema = "hammertime.sweep_cell.v1";
 // Validates one cached cell document against `key`: schema string, a
 // "key" member equal to `key`, a "spec" object whose canonical key
 // re-derivation (SweepKeyFromJson) also equals `key`, a "result" object,
-// and a "stats" StatSet snapshot. On failure, `error` (if non-null)
-// names the first problem.
+// a "stats" StatSet snapshot, and a "digest" equal to CellDigest of the
+// result and stats. On failure, `error` (if non-null) names the first
+// problem.
 bool ValidateSweepCell(const JsonValue& doc, const std::string& key, std::string* error = nullptr);
 
 class ResultCache {
@@ -42,7 +44,8 @@ class ResultCache {
   // Returns the parsed, validated cell document, or nullopt when missing
   // or invalid (invalid entries are treated as cache misses; the caller
   // recomputes and overwrites them). `why` (if non-null) receives the
-  // validation error for diagnostics.
+  // reason an existing entry was rejected; it is left untouched when the
+  // cache holds no entry for `key`.
   std::optional<JsonValue> Load(const std::string& key, std::string* why = nullptr) const;
 
   // Atomically persists `cell` (which must already carry schema/key/spec/

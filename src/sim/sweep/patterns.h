@@ -23,7 +23,7 @@ namespace ht {
 
 // One TRR vendor preset: a named (table entries, refreshes-per-REF,
 // sample probability) triple. The names are canonical — they appear in
-// report ranking groups and on the hammerpattern --trr axis.
+// report ranking groups and on the `hammercampaign pattern --trr` axis.
 struct TrrVendorConfig {
   std::string name;
   bool enabled = false;
@@ -65,8 +65,8 @@ struct PatternCampaignGrid {
 // sharding order, exactly like ExpandGrid).
 std::vector<SweepCellSpec> ExpandPatternGrid(const PatternCampaignGrid& grid);
 
-// Runs the campaign on the shared cell executor ("hammerpattern"
-// heartbeat label) and assembles the pattern report.
+// Runs the campaign on the shared cell executor and assembles the
+// pattern report.
 SweepOutcome RunPatternCampaign(const PatternCampaignGrid& grid,
                                 const SweepOptions& options = {});
 

@@ -77,6 +77,14 @@ bool GetStringField(const JsonValue& json, const char* name, std::string* out,
   return true;
 }
 
+std::string Hex16(uint64_t hash) {
+  std::string hex(16, '0');
+  for (int i = 0; i < 16; ++i) {
+    hex[i] = "0123456789abcdef"[(hash >> (60 - 4 * i)) & 0xF];
+  }
+  return hex;
+}
+
 }  // namespace
 
 uint64_t Fnv1a64(std::string_view text) {
@@ -364,12 +372,15 @@ std::string SweepKeyFromJson(const JsonValue& canonical_spec) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::ostringstream compact;
   sorted.Dump(compact, /*indent=*/-1);
-  const uint64_t hash = Fnv1a64(compact.str());
-  std::ostringstream hex;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    hex << "0123456789abcdef"[(hash >> shift) & 0xF];
-  }
-  return hex.str();
+  return Hex16(Fnv1a64(compact.str()));
+}
+
+std::string CellDigest(const JsonValue& result, const JsonValue& stats) {
+  std::ostringstream compact;
+  result.Dump(compact, /*indent=*/-1);
+  compact << '\n';
+  stats.Dump(compact, /*indent=*/-1);
+  return Hex16(Fnv1a64(compact.str()));
 }
 
 std::string SweepKey(const ScenarioSpec& spec) {

@@ -50,6 +50,11 @@ std::string SweepKeyFromJson(const JsonValue& canonical_spec);
 // Convenience: SweepKeyFromJson(SpecCanonicalJson(spec)).
 std::string SweepKey(const ScenarioSpec& spec);
 
+// 16-hex-digit FNV-1a 64 digest of a cell's result and stats objects
+// (compact dumps). The key proves which spec a cached cell ran; this
+// digest proves its contents were not edited since they were stored.
+std::string CellDigest(const JsonValue& result, const JsonValue& stats);
+
 }  // namespace ht
 
 #endif  // HAMMERTIME_SRC_SIM_SWEEP_SPECKEY_H_

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "common/argparse.h"
 #include "common/telemetry/profile.h"
 #include "common/thread_pool.h"
 
@@ -17,6 +19,9 @@ namespace ht {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+// Prefix of the executor's stderr lines: the campaign driver's name.
+constexpr const char* kLabel = "hammercampaign";
 
 double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
@@ -28,10 +33,9 @@ double SecondsSince(SteadyClock::time_point start) {
 // report stream on stdout clean.
 class Heartbeat {
  public:
-  Heartbeat(const char* label, double period_seconds, uint64_t pending_cells,
-            uint64_t cached_cells, const std::atomic<uint64_t>* done)
-      : label_(label), period_(period_seconds), pending_(pending_cells),
-        cached_(cached_cells), done_(done) {
+  Heartbeat(double period_seconds, uint64_t pending_cells, uint64_t cached_cells,
+            const std::atomic<uint64_t>* done)
+      : period_(period_seconds), pending_(pending_cells), cached_(cached_cells), done_(done) {
     if (period_ <= 0) {
       return;
     }
@@ -69,12 +73,11 @@ class Heartbeat {
     std::fprintf(stderr,
                  "%s: progress %llu/%llu cells (%llu cached), %.1f cells/s, "
                  "elapsed %.1fs\n",
-                 label_, static_cast<unsigned long long>(done),
+                 kLabel, static_cast<unsigned long long>(done),
                  static_cast<unsigned long long>(pending_),
                  static_cast<unsigned long long>(cached_), rate, elapsed);
   }
 
-  const char* label_;
   double period_;
   uint64_t pending_;
   uint64_t cached_;
@@ -111,11 +114,40 @@ JsonValue MakeCacheCell(const JsonValue& report_cell, JsonValue stats) {
   for (const auto& [name, value] : report_cell.members()) {
     cell.Set(name, value);
   }
+  cell.Set("digest", JsonValue::Str(CellDigest(*report_cell.Find("result"), stats)));
   cell.Set("stats", std::move(stats));
   return cell;
 }
 
 }  // namespace
+
+void AddSweepOptionFlags(ArgParser& parser) {
+  parser.Option("cache-dir", "DIR", "persist/reuse per-cell results here")
+      .Flag("resume", "reuse valid cached cells instead of re-running them")
+      .Flag("binary-cache",
+            "store cache cells as hammertime.bin.v1 (.htb); either format is "
+            "readable on resume")
+      .Option("shard", "K/N", "run only this shard of the cell list", "1/1")
+      .Option("max-cells", "N", "stop after N executed cells (0 = all)", "0")
+      .Option("progress-every", "SECONDS",
+              "print heartbeat progress lines to stderr while cells execute", "0");
+  AddThreadsFlag(parser);
+}
+
+bool SweepOptionsFromFlags(const ArgParser& parser, SweepOptions* options, std::string* error) {
+  options->threads = ThreadsFlag(parser);
+  options->cache_dir = parser.Get("cache-dir");
+  options->resume = parser.GetBool("resume");
+  options->binary_cache = parser.GetBool("binary-cache");
+  options->max_cells = parser.GetUint("max-cells");
+  options->progress_every =
+      parser.GetDouble("progress-every", 0.0, std::numeric_limits<double>::infinity());
+  if (!ParseShard(parser.Get("shard"), &options->shard_index, &options->shard_count)) {
+    *error = "bad --shard " + parser.Get("shard") + " (want K/N with 1 <= K <= N)";
+    return false;
+  }
+  return true;
+}
 
 std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid) {
   std::map<std::string, ScenarioSpec> cells;
@@ -159,20 +191,24 @@ std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid) {
       }
     }
   }
+  return CellsInKeyOrder(std::move(cells));
+}
+
+std::vector<SweepCellSpec> CellsInKeyOrder(std::map<std::string, ScenarioSpec> cells) {
   std::vector<SweepCellSpec> out;
   out.reserve(cells.size());
   for (auto& [key, spec] : cells) {  // std::map iterates in key order.
-    out.push_back(SweepCellSpec{key, spec});
+    out.push_back(SweepCellSpec{key, std::move(spec)});
   }
   return out;
 }
 
-JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
+JsonValue MakeCellReport(const char* schema, uint64_t grid_cells, std::vector<JsonValue> cells) {
   std::sort(cells.begin(), cells.end(), [](const JsonValue& a, const JsonValue& b) {
     return a.Find("key")->as_string() < b.Find("key")->as_string();
   });
   JsonValue report = JsonValue::Object();
-  report.Set("schema", JsonValue::Str(kSweepReportSchema));
+  report.Set("schema", JsonValue::Str(schema));
   report.Set("grid_cells", JsonValue::Uint(grid_cells));
   JsonValue array = JsonValue::Array();
   for (JsonValue& cell : cells) {
@@ -182,8 +218,33 @@ JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
   return report;
 }
 
+JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
+  return MakeCellReport(kSweepReportSchema, grid_cells, std::move(cells));
+}
+
+uint64_t FieldUint(const JsonValue& object, const char* name) {
+  const JsonValue* member = object.Find(name);
+  return (member != nullptr && member->is_number()) ? member->as_uint() : 0;
+}
+
+double FieldDouble(const JsonValue& object, const char* name, double fallback) {
+  const JsonValue* member = object.Find(name);
+  return (member != nullptr && member->is_number()) ? member->as_double() : fallback;
+}
+
+std::string FieldStr(const JsonValue& object, const char* name) {
+  const JsonValue* member = object.Find(name);
+  return (member != nullptr && member->type() == JsonValue::Type::kString) ? member->as_string()
+                                                                           : std::string();
+}
+
+bool FieldBool(const JsonValue& object, const char* name) {
+  const JsonValue* member = object.Find(name);
+  return member != nullptr && member->type() == JsonValue::Type::kBool && member->as_bool();
+}
+
 SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions& options,
-                      ReportBuilder make_report, const char* progress_label) {
+                      ReportBuilder make_report) {
   SweepOutcome outcome;
   if (options.shard_count == 0 || options.shard_index == 0 ||
       options.shard_index > options.shard_count) {
@@ -208,13 +269,18 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions&
       }
       ++outcome.shard_cells;
       if (options.resume && cache.enabled()) {
-        if (std::optional<JsonValue> hit = cache.Load(all[i].key)) {
+        std::string why;
+        if (std::optional<JsonValue> hit = cache.Load(all[i].key, &why)) {
           ++outcome.cached_cells;
           completed.push_back(MakeReportCell(all[i].key, std::move(*hit->Find("spec")),
                                              std::move(*hit->Find("result"))));
           continue;
         }
         ++outcome.cache_misses;
+        if (!why.empty()) {
+          std::fprintf(stderr, "%s: warning: cache cell %s rejected (%s); recomputing\n",
+                       kLabel, all[i].key.c_str(), why.c_str());
+        }
       }
       pending.push_back(all[i]);
     }
@@ -235,8 +301,8 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions&
   {
     ProfilePhase execute_phase("sweep.execute");
     const SteadyClock::time_point execute_start = SteadyClock::now();
-    Heartbeat heartbeat(progress_label, options.progress_every, pending.size(),
-                        outcome.cached_cells, &cells_done);
+    Heartbeat heartbeat(options.progress_every, pending.size(), outcome.cached_cells,
+                        &cells_done);
     ParallelFor(pending.size(),
                 pending.size() <= 1 ? 1u : ResolveThreadCount(options.threads),
                 [&](uint64_t i) {
@@ -279,7 +345,7 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions&
 }
 
 SweepOutcome RunSweep(const SweepGrid& grid, const SweepOptions& options) {
-  return RunCells(ExpandGrid(grid), options, MakeSweepReport, "hammersweep");
+  return RunCells(ExpandGrid(grid), options, MakeSweepReport);
 }
 
 JsonValue MergeCellReports(const std::vector<JsonValue>& reports,

@@ -12,6 +12,7 @@
 #define HAMMERTIME_SRC_SIM_SWEEP_SWEEP_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,11 @@ struct SweepCellSpec {
 // sharding order.
 std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid);
 
+// The tail every Expand*Grid shares: a key -> spec map (deduplicated on
+// insert, iterated in key order) flattened into the execution and
+// sharding order.
+std::vector<SweepCellSpec> CellsInKeyOrder(std::map<std::string, ScenarioSpec> cells);
+
 struct SweepOptions {
   unsigned threads = 0;       // 0 = HT_THREADS / hardware concurrency.
   std::string cache_dir;      // Empty = no result cache.
@@ -71,6 +77,14 @@ struct SweepOptions {
                               // printed immediately so even short sweeps
                               // are observable).
 };
+
+// Registers the executor's flags (--cache-dir, --resume, --binary-cache,
+// --shard, --max-cells, --progress-every, --threads) on `parser`, so every
+// campaign kind spells them identically.
+void AddSweepOptionFlags(ArgParser& parser);
+
+// Reads those flags back; false with `error` set on a malformed --shard.
+bool SweepOptionsFromFlags(const ArgParser& parser, SweepOptions* options, std::string* error);
 
 struct SweepOutcome {
   bool ok = false;            // False on cache I/O failure or bad options.
@@ -98,21 +112,34 @@ struct SweepOutcome {
 // the same builder serves fresh runs and shard merges.
 using ReportBuilder = JsonValue (*)(uint64_t grid_cells, std::vector<JsonValue> cells);
 
-// The generic cell executor under RunSweep and RunPatternCampaign: takes
-// an already-expanded key-sorted cell list, runs this shard's missing
-// cells (deterministic spec order on the worker pool, resumable via the
-// cell cache), persists each completed cell, and assembles the report
-// with `make_report`. `progress_label` prefixes heartbeat lines.
+// The generic cell executor under RunSweep, RunPatternCampaign and
+// RunCloudCampaign: takes an already-expanded key-sorted cell list, runs
+// this shard's missing cells (deterministic spec order on the worker pool,
+// resumable via the cell cache), persists each completed cell, and
+// assembles the report with `make_report`. Heartbeat lines and the
+// warning printed for each rejected cache cell go to stderr.
 SweepOutcome RunCells(const std::vector<SweepCellSpec>& cells, const SweepOptions& options,
-                      ReportBuilder make_report, const char* progress_label = "hammersweep");
+                      ReportBuilder make_report);
 
 // Expands `grid`, executes this shard's missing cells (deterministic spec
 // order on the worker pool), persists each completed cell to the cache,
 // and builds the report from every completed cell.
 SweepOutcome RunSweep(const SweepGrid& grid, const SweepOptions& options = {});
 
+// The skeleton every campaign report shares: `schema`, `grid_cells`, and
+// the completed cells sorted by key. Kind-specific sections are appended
+// after `cells` and derived from them.
+JsonValue MakeCellReport(const char* schema, uint64_t grid_cells, std::vector<JsonValue> cells);
+
 // Builds a sweep report document from completed cells (sorted by key).
 JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells);
+
+// Lenient member readers for rebuilding report sections from cells: a
+// missing or mistyped member reads as 0, `fallback`, "" or false.
+uint64_t FieldUint(const JsonValue& object, const char* name);
+double FieldDouble(const JsonValue& object, const char* name, double fallback = 0.0);
+std::string FieldStr(const JsonValue& object, const char* name);
+bool FieldBool(const JsonValue& object, const char* name);
 
 // Generic shard-report union by cell key: all inputs must pass
 // `validate`, agree on grid_cells, and agree on any key they share; the

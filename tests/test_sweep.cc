@@ -2,12 +2,14 @@
 // cache keys ignore field order but track every covered knob, a resumed
 // sweep completes exactly the missing cells and reproduces the
 // uninterrupted report, shards union back to the unsharded report, and a
-// corrupt cache entry is detected and recomputed rather than trusted.
+// corrupt or edited cache entry is detected and recomputed rather than
+// trusted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "sim/sweep/sweep.h"
 
@@ -260,6 +262,67 @@ TEST(RunSweep, CorruptCacheEntryIsRecomputed) {
   EXPECT_EQ(second.executed_cells, 2u);  // Both corrupt cells recomputed.
   EXPECT_EQ(second.report.ToString(), first.report.ToString());
   std::filesystem::remove_all(dir);
+}
+
+// Runs a one-cell cached sweep, lets `edit` rewrite the stored cell's
+// text, and resumes: the edited cell must be a miss, recomputed to the
+// original report, overwritten, and named in exactly one warning.
+void ExpectEditedCellRecomputed(const std::string& name,
+                                void (*edit)(std::string& text, uint64_t flips)) {
+  const std::string dir = FreshDir(name);
+  SweepGrid grid = TinyGrid();
+  grid.act_thresholds = {128};
+  SweepOptions options;
+  options.threads = 1;
+  options.cache_dir = dir;
+  options.resume = true;
+  const SweepOutcome first = RunSweep(grid, options);
+  ASSERT_TRUE(first.ok) << first.error;
+  const JsonValue& cell = first.report.Find("cells")->at(0);
+  const std::string key = cell.Find("key")->as_string();
+  const std::string path = ResultCache(dir).PathFor(key);
+  std::stringstream text;
+  text << std::ifstream(path).rdbuf();
+  std::string edited = text.str();
+  edit(edited, cell.Find("result")->Find("flip_events")->as_uint());
+  std::ofstream(path, std::ios::trunc) << edited;
+
+  ::testing::internal::CaptureStderr();
+  const SweepOutcome second = RunSweep(grid, options);
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(second.cached_cells, 0u);
+  EXPECT_EQ(second.cache_misses, 1u);
+  EXPECT_EQ(second.executed_cells, 1u);
+  EXPECT_EQ(second.report.ToString(), first.report.ToString());
+  const size_t at = warnings.find(key);
+  EXPECT_NE(at, std::string::npos) << warnings;
+  EXPECT_EQ(warnings.find(key, at + 1), std::string::npos) << warnings;
+  EXPECT_EQ(std::count(warnings.begin(), warnings.end(), '\n'), 1) << warnings;
+
+  // The recomputed cell replaced the edited one.
+  const SweepOutcome third = RunSweep(grid, options);
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(third.cached_cells, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunSweep, EditedCachedResultIsRecomputed) {
+  // The spec still hashes to the key; only the digest can tell.
+  ExpectEditedCellRecomputed("edited", [](std::string& text, uint64_t flips) {
+    const std::string from = "\"flip_events\": " + std::to_string(flips);
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(), "\"flip_events\": " + std::to_string(flips + 7));
+  });
+}
+
+TEST(RunSweep, CachedCellWithoutDigestIsRecomputed) {
+  ExpectEditedCellRecomputed("no_digest", [](std::string& text, uint64_t) {
+    const size_t at = text.find("\"digest\"");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 8, "\"digist\"");
+  });
 }
 
 TEST(SweepReport, ValidatorCatchesStructuralDamage) {

@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
   options.attack = parser.Get("attack");
   options.defense = parser.Get("defense");
   options.hw = parser.Get("hw");
-  options.sides = static_cast<uint32_t>(parser.GetUint("sides"));
-  options.trr = static_cast<uint32_t>(parser.GetUint("trr"));
-  options.generation = parser.Has("generation") ? static_cast<int>(parser.GetInt("generation")) : -1;
+  options.sides = parser.GetNumber<uint32_t>("sides");
+  options.trr = parser.GetNumber<uint32_t>("trr");
+  options.generation = parser.Has("generation") ? parser.GetNumber<int>("generation") : -1;
   options.threshold = parser.GetUint("threshold");
   options.cycles = parser.GetUint("cycles");
   options.ecc = parser.GetBool("ecc");

@@ -224,50 +224,38 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (mode == "--sweep") {
+  // Campaign reports: one validator per kind; the ranking noun names the
+  // `ranking` entries in the summary line (the sweep report has none).
+  struct CampaignMode {
+    const char* flag;
+    bool (*validate)(const ht::JsonValue&, std::string*);
+    const char* noun;
+    const char* ranking_noun;
+  };
+  static constexpr CampaignMode kCampaignModes[] = {
+      {"--sweep", ht::ValidateSweepReport, "sweep", nullptr},
+      {"--pattern", ht::ValidatePatternReport, "pattern", "vendors"},
+      {"--cloud", ht::ValidateCloudReport, "cloud", "families"},
+  };
+  for (const CampaignMode& campaign : kCampaignModes) {
+    if (mode != campaign.flag) {
+      continue;
+    }
     auto doc = ParseFile(argv[2]);
     if (!doc.has_value()) {
       return 2;
     }
-    if (!ht::ValidateSweepReport(*doc, &error)) {
+    if (!campaign.validate(*doc, &error)) {
       std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
       return 1;
     }
-    std::printf("trace_check: %s: valid sweep report (%zu/%llu cells)\n", argv[2],
+    std::printf("trace_check: %s: valid %s report (%zu/%llu cells", argv[2], campaign.noun,
                 doc->Find("cells")->size(),
                 static_cast<unsigned long long>(doc->Find("grid_cells")->as_uint()));
-    return 0;
-  }
-
-  if (mode == "--pattern") {
-    auto doc = ParseFile(argv[2]);
-    if (!doc.has_value()) {
-      return 2;
+    if (campaign.ranking_noun != nullptr) {
+      std::printf(", %zu %s", doc->Find("ranking")->size(), campaign.ranking_noun);
     }
-    if (!ht::ValidatePatternReport(*doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s: valid pattern report (%zu/%llu cells, %zu vendors)\n",
-                argv[2], doc->Find("cells")->size(),
-                static_cast<unsigned long long>(doc->Find("grid_cells")->as_uint()),
-                doc->Find("ranking")->size());
-    return 0;
-  }
-
-  if (mode == "--cloud") {
-    auto doc = ParseFile(argv[2]);
-    if (!doc.has_value()) {
-      return 2;
-    }
-    if (!ht::ValidateCloudReport(*doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s: valid cloud report (%zu/%llu cells, %zu families)\n",
-                argv[2], doc->Find("cells")->size(),
-                static_cast<unsigned long long>(doc->Find("grid_cells")->as_uint()),
-                doc->Find("ranking")->size());
+    std::printf(")\n");
     return 0;
   }
 
