@@ -1,7 +1,5 @@
 #include "defense/scrub_defense.h"
 
-#include <algorithm>
-
 namespace ht {
 
 void ScrubDefense::Attach(HostKernel* kernel, Cache* cache) {
@@ -13,12 +11,7 @@ void ScrubDefense::Attach(HostKernel* kernel, Cache* cache) {
 }
 
 void ScrubDefense::RefreshFrameList() {
-  frames_.clear();
-  for (const auto& [frame, owner] : kernel_->frame_owners()) {
-    (void)owner;
-    frames_.push_back(frame);
-  }
-  std::sort(frames_.begin(), frames_.end());
+  frames_ = kernel_->MappedFrames();
   frame_cursor_ = 0;
   line_cursor_ = 0;
 }

@@ -3,25 +3,19 @@
 namespace ht {
 
 void RowDataStore::WriteLine(uint64_t row_key, uint32_t column, uint64_t value) {
-  auto [it, inserted] = rows_.try_emplace(row_key);
-  if (inserted) {
-    it->second.assign(columns_, 0);
+  std::unique_ptr<uint64_t[]>& row = rows_.at(row_key);
+  if (row == nullptr) {
+    row = std::make_unique<uint64_t[]>(columns_);  // Zero-filled.
+    ++populated_rows_;
   }
-  it->second[column] = value;
-  corruption_.erase(MaskKey(row_key, column));  // Fresh data is clean.
-}
-
-uint64_t RowDataStore::ReadLine(uint64_t row_key, uint32_t column) const {
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) {
-    return 0;
+  row[column] = value;
+  if (!corruption_.empty()) {
+    corruption_.erase(MaskKey(row_key, column));  // Fresh data is clean.
   }
-  return it->second[column];
 }
 
 uint32_t RowDataStore::FlipRandomBits(uint64_t row_key, uint32_t bits) {
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) {
+  if (!RowPopulated(row_key)) {
     // Still consume RNG draws (two per bit: column + bit position) so flip
     // positions stay deterministic regardless of which rows hold data.
     for (uint32_t i = 0; i < bits; ++i) {
@@ -30,10 +24,11 @@ uint32_t RowDataStore::FlipRandomBits(uint64_t row_key, uint32_t bits) {
     }
     return 0;
   }
+  uint64_t* row = rows_[row_key].get();
   for (uint32_t i = 0; i < bits; ++i) {
     const uint32_t column = static_cast<uint32_t>(rng_.NextBelow(columns_));
     const uint32_t bit = static_cast<uint32_t>(rng_.NextBelow(64));
-    it->second[column] ^= (1ULL << bit);
+    row[column] ^= (1ULL << bit);
     corruption_[MaskKey(row_key, column)] ^= (1ULL << bit);
   }
   return bits;

@@ -78,6 +78,8 @@ class DramDevice {
   uint64_t ReadLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column) const;
 
   // --- Introspection (tests, defenses with modeled assists) ---------------
+  // Rows with at least one written line.
+  size_t populated_rows() const { return data_.populated_rows(); }
 
   const DramConfig& config() const { return config_; }
   uint32_t channel_index() const { return channel_index_; }

@@ -1,36 +1,50 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/log.h"
 
 namespace ht {
 
 HostKernel::HostKernel(MemoryController* mc, FrameAllocator* allocator)
-    : mc_(mc), allocator_(allocator) {}
+    : mc_(mc), allocator_(allocator), domains_(1) {}
+
+HostKernel::Domain& HostKernel::At(DomainId domain) const {
+  Domain* d = Find(domain);
+  if (d == nullptr) {
+    throw std::out_of_range("no live domain " + std::to_string(domain));
+  }
+  return *d;
+}
+
+void HostKernel::SetFrame(uint64_t frame, FrameRecord record) {
+  if (frame >= frames_.size()) {
+    frames_.resize(frame + 1);
+  }
+  frames_[frame] = record;
+}
 
 DomainId HostKernel::CreateDomain(const DomainSpec& spec) {
-  const DomainId id = next_domain_++;
-  specs_.emplace(id, spec);
-  spaces_.emplace(id, AddressSpace(id));
-  next_va_[id] = AddressSpace::BaseFor(id);
+  const DomainId id = static_cast<DomainId>(domains_.size());
+  domains_.push_back(
+      std::make_unique<Domain>(Domain{spec, AddressSpace(id), AddressSpace::BaseFor(id)}));
   return id;
 }
 
 void HostKernel::DestroyDomain(DomainId domain) {
-  auto space_it = spaces_.find(domain);
-  if (space_it == spaces_.end()) {
+  const Domain* d = Find(domain);
+  if (d == nullptr) {
     return;
   }
   // pages() is an unordered_map; sort by VA page so FreeFrame ordering
   // (and thus the free list the next tenant allocates from) is
   // deterministic across platforms.
-  std::vector<std::pair<uint64_t, uint64_t>> pages(space_it->second.pages().begin(),
-                                                   space_it->second.pages().end());
+  std::vector<std::pair<uint64_t, uint64_t>> pages(d->space.pages().begin(),
+                                                   d->space.pages().end());
   std::sort(pages.begin(), pages.end());
   for (const auto& [va_page, frame] : pages) {
-    frame_owner_.erase(frame);
-    frame_va_.erase(frame);
+    frames_[frame] = {};
     allocator_->FreeFrame(domain, frame);
   }
   stats_.Add("kernel.pages_freed", pages.size());
@@ -38,14 +52,12 @@ void HostKernel::DestroyDomain(DomainId domain) {
   filled_regions_.erase(std::remove_if(filled_regions_.begin(), filled_regions_.end(),
                                        [domain](const Region& r) { return r.domain == domain; }),
                         filled_regions_.end());
-  specs_.erase(domain);
-  spaces_.erase(space_it);
-  next_va_.erase(domain);
+  domains_[domain].reset();
 }
 
 std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages) {
-  AddressSpace& space = spaces_.at(domain);
-  const VirtAddr base = next_va_.at(domain);
+  Domain& d = At(domain);
+  const VirtAddr base = d.next_va;
   std::vector<uint64_t> frames;
   frames.reserve(pages);
   for (uint64_t i = 0; i < pages; ++i) {
@@ -60,11 +72,10 @@ std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages)
     frames.push_back(*frame);
   }
   for (uint64_t i = 0; i < pages; ++i) {
-    space.MapPage(base + i * kPageBytes, frames[i]);
-    frame_owner_[frames[i]] = domain;
-    frame_va_[frames[i]] = {domain, base + i * kPageBytes};
+    d.space.MapPage(base + i * kPageBytes, frames[i]);
+    SetFrame(frames[i], {domain, base + i * kPageBytes});
   }
-  next_va_[domain] = base + pages * kPageBytes;
+  d.next_va = base + pages * kPageBytes;
   stats_.Add("kernel.pages_allocated", pages);
 
   // §4.1 coordination: tell the MC which subarray group this domain uses
@@ -77,11 +88,11 @@ std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages)
 }
 
 std::optional<PhysAddr> HostKernel::Translate(DomainId domain, VirtAddr va) const {
-  auto it = spaces_.find(domain);
-  if (it == spaces_.end()) {
+  const Domain* d = Find(domain);
+  if (d == nullptr) {
     return std::nullopt;
   }
-  return it->second.Translate(va);
+  return d->space.Translate(va);
 }
 
 std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::TranslatorFor(DomainId domain) {
@@ -93,8 +104,17 @@ std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::MuxTranslator() {
 }
 
 DomainId HostKernel::OwnerOfFrame(uint64_t frame) const {
-  auto it = frame_owner_.find(frame);
-  return it == frame_owner_.end() ? kInvalidDomain : it->second;
+  return frame < frames_.size() ? frames_[frame].domain : kInvalidDomain;
+}
+
+std::vector<uint64_t> HostKernel::MappedFrames() const {
+  std::vector<uint64_t> mapped;
+  for (uint64_t frame = 0; frame < frames_.size(); ++frame) {
+    if (frames_[frame].domain != kInvalidDomain) {
+      mapped.push_back(frame);
+    }
+  }
+  return mapped;
 }
 
 uint64_t HostKernel::PatternValue(DomainId domain, VirtAddr va_line) {
@@ -114,39 +134,47 @@ uint64_t HostKernel::ReadLineFromDram(PhysAddr pa) const {
   return mc_->device(coord.channel).ReadLine(coord.rank, coord.bank, coord.row, coord.column);
 }
 
-void HostKernel::FillRegion(DomainId domain, VirtAddr base, uint64_t pages) {
-  for (uint64_t p = 0; p < pages; ++p) {
-    for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const VirtAddr va = base + p * kPageBytes + l * kLineBytes;
-      const auto pa = Translate(domain, va);
-      if (pa.has_value()) {
-        WriteLineToDram(*pa, PatternValue(domain, va));
-      }
+template <typename Fn>
+void HostKernel::ForEachMappedLine(const Domain& d, VirtAddr base, uint64_t pages, Fn&& fn) {
+  // One page-table lookup per VA page, not per line. A page-aligned base
+  // (every AllocRegion result) makes that one lookup per region page.
+  uint64_t va_page = ~uint64_t{0};
+  std::optional<uint64_t> frame;
+  for (uint64_t i = 0; i < pages * kLinesPerPage; ++i) {
+    const VirtAddr va = base + i * kLineBytes;
+    if (va / kPageBytes != va_page) {
+      va_page = va / kPageBytes;
+      frame = d.space.FrameOf(va);
     }
+    if (frame.has_value()) {
+      fn(va, *frame * kPageBytes + va % kPageBytes);
+    }
+  }
+}
+
+void HostKernel::FillRegion(DomainId domain, VirtAddr base, uint64_t pages) {
+  if (const Domain* d = Find(domain); d != nullptr) {
+    ForEachMappedLine(*d, base, pages, [&](VirtAddr va, PhysAddr pa) {
+      WriteLineToDram(pa, PatternValue(domain, va));
+    });
   }
   filled_regions_.push_back({domain, base, pages});
 }
 
 VerifyResult HostKernel::VerifyRegion(DomainId domain, VirtAddr base, uint64_t pages) const {
   VerifyResult result;
-  const DomainSpec& domain_spec = specs_.at(domain);
-  for (uint64_t p = 0; p < pages; ++p) {
-    for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const VirtAddr va = base + p * kPageBytes + l * kLineBytes;
-      const auto pa = Translate(domain, va);
-      if (!pa.has_value()) {
-        continue;
-      }
-      ++result.lines_checked;
-      if (ReadLineFromDram(*pa) != PatternValue(domain, va)) {
-        ++result.corrupted_lines;
-        if (domain_spec.enclave && domain_spec.integrity_checked) {
-          // §4.4: integrity-checked enclave corruption = system lockup.
-          ++result.dos_lockups;
-        }
+  const Domain& d = At(domain);
+  const bool lockup = d.spec.enclave && d.spec.integrity_checked;
+  ForEachMappedLine(d, base, pages, [&](VirtAddr va, PhysAddr pa) {
+    ++result.lines_checked;
+    if (ReadLineFromDram(pa) != PatternValue(domain, va)) {
+      ++result.corrupted_lines;
+      if (lockup) {
+        // §4.4: integrity-checked enclave corruption = system lockup.
+        ++result.dos_lockups;
       }
     }
-  }
+  });
   return result;
 }
 
@@ -196,7 +224,7 @@ bool HostKernel::MovePage(DomainId domain, VirtAddr va_page) {
 }
 
 bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame_value) {
-  AddressSpace& space = spaces_.at(domain);
+  AddressSpace& space = At(domain).space;
   const VirtAddr base = va_page / kPageBytes * kPageBytes;
   const auto old_frame = space.FrameOf(base);
   if (!old_frame.has_value()) {
@@ -211,10 +239,8 @@ bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new
     WriteLineToDram(dst, ReadLineFromDram(src));
   }
   space.MapPage(base, *new_frame);
-  frame_owner_[*new_frame] = domain;
-  frame_owner_.erase(*old_frame);
-  frame_va_[*new_frame] = {domain, base};
-  frame_va_.erase(*old_frame);
+  SetFrame(*new_frame, {domain, base});
+  frames_[*old_frame] = {};
   allocator_->FreeFrame(domain, *old_frame);
   ++page_moves_;
   stats_.Add("kernel.page_moves");
@@ -224,11 +250,11 @@ bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new
 }
 
 std::optional<std::pair<DomainId, VirtAddr>> HostKernel::LocatePhys(PhysAddr addr) const {
-  auto it = frame_va_.find(addr / kPageBytes);
-  if (it == frame_va_.end()) {
+  const uint64_t frame = addr / kPageBytes;
+  if (frame >= frames_.size() || frames_[frame].domain == kInvalidDomain) {
     return std::nullopt;
   }
-  return it->second;
+  return std::make_pair(frames_[frame].domain, frames_[frame].va_page);
 }
 
 bool HostKernel::MovePageByPhys(PhysAddr addr) {
@@ -278,8 +304,8 @@ FlipAttribution HostKernel::AttributeFlips() const {
             aggressor_owners.end()) {
           cross = true;
         }
-        auto it = specs_.find(victim);
-        if (it != specs_.end() && it->second.enclave) {
+        const Domain* d = Find(victim);
+        if (d != nullptr && d->spec.enclave) {
           ++result.enclave_victims;
         }
       }

@@ -6,10 +6,9 @@
 #define HAMMERTIME_SRC_OS_KERNEL_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -50,9 +49,10 @@ class HostKernel {
   // --- Domains & memory ----------------------------------------------------
 
   DomainId CreateDomain(const DomainSpec& spec);
-  const DomainSpec& spec(DomainId domain) const { return specs_.at(domain); }
-  AddressSpace& space(DomainId domain) { return spaces_.at(domain); }
-  bool HasDomain(DomainId domain) const { return specs_.count(domain) != 0; }
+  // Both throw std::out_of_range for an id that names no live domain.
+  const DomainSpec& spec(DomainId domain) const { return At(domain).spec; }
+  AddressSpace& space(DomainId domain) { return At(domain).space; }
+  bool HasDomain(DomainId domain) const { return Find(domain) != nullptr; }
 
   // Tears down a domain: unmaps every page (VA order, so the allocator's
   // free list sees a deterministic release sequence), returns frames to
@@ -81,8 +81,8 @@ class HostKernel {
 
   DomainId OwnerOfFrame(uint64_t frame) const;
   DomainId OwnerOfPhys(PhysAddr addr) const { return OwnerOfFrame(addr / kPageBytes); }
-  // All currently mapped frames (patrol scrubbers iterate this).
-  const std::unordered_map<uint64_t, DomainId>& frame_owners() const { return frame_owner_; }
+  // All currently mapped frames, ascending (patrol scrubbers walk these).
+  std::vector<uint64_t> MappedFrames() const;
 
   // --- Golden data ----------------------------------------------------------
 
@@ -149,24 +149,46 @@ class HostKernel {
   }
 
  private:
+  struct Domain {
+    DomainSpec spec;
+    AddressSpace space;
+    VirtAddr next_va;  // Where the next AllocRegion starts.
+  };
+
+  // Who maps a frame; domain == kInvalidDomain for a free frame.
+  struct FrameRecord {
+    DomainId domain = kInvalidDomain;
+    VirtAddr va_page = 0;
+  };
+
   struct Region {
     DomainId domain;
     VirtAddr base;
     uint64_t pages;
   };
 
+  // Null for id 0 and for destroyed or never-created ids; At throws.
+  Domain* Find(DomainId domain) const {
+    return domain < domains_.size() ? domains_[domain].get() : nullptr;
+  }
+  Domain& At(DomainId domain) const;
+  void SetFrame(uint64_t frame, FrameRecord record);
+  // Calls fn(va, pa) for every mapped line of the `pages`-page region at
+  // `base`, in VA order.
+  template <typename Fn>
+  static void ForEachMappedLine(const Domain& d, VirtAddr base, uint64_t pages, Fn&& fn);
+
   void WriteLineToDram(PhysAddr pa, uint64_t value);
   uint64_t ReadLineFromDram(PhysAddr pa) const;
 
   MemoryController* mc_;
   FrameAllocator* allocator_;
-  std::map<DomainId, DomainSpec> specs_;
-  std::map<DomainId, AddressSpace> spaces_;
-  std::map<DomainId, VirtAddr> next_va_;
-  std::unordered_map<uint64_t, DomainId> frame_owner_;
-  std::unordered_map<uint64_t, std::pair<DomainId, VirtAddr>> frame_va_;
+  // Indexed by DomainId. Ids are dense from 1 and never reused, so slot 0
+  // and destroyed domains hold null; Domain addresses stay stable.
+  std::vector<std::unique_ptr<Domain>> domains_;
+  // Indexed by frame number; grows to the highest frame ever mapped.
+  std::vector<FrameRecord> frames_;
   std::vector<Region> filled_regions_;
-  DomainId next_domain_ = 1;
   uint64_t page_moves_ = 0;
   StatSet stats_;
   TraceBuffer* trace_ = nullptr;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+#include <vector>
+
 namespace ht {
 namespace {
 
@@ -187,6 +192,75 @@ TEST_F(KernelTest, TranslatorClosureMatchesTranslate) {
   auto translator = kernel_.TranslatorFor(d);
   EXPECT_EQ(translator(*base), kernel_.Translate(d, *base));
   EXPECT_FALSE(translator(0xDEAD0000).has_value());
+}
+
+TEST_F(KernelTest, TranslateMissesDeadAndUnknownDomains) {
+  const DomainId d = kernel_.CreateDomain({.name = "a"});
+  const DomainId gone = kernel_.CreateDomain({.name = "gone"});
+  auto base = kernel_.AllocRegion(d, 1);
+  auto gone_base = kernel_.AllocRegion(gone, 1);
+  kernel_.DestroyDomain(gone);
+  const DomainId past_table = gone + 100;
+  // Id 0 is never handed out; ids past the table were never created.
+  for (DomainId id : {DomainId{0}, gone, past_table}) {
+    EXPECT_FALSE(kernel_.Translate(id, *gone_base).has_value()) << id;
+    EXPECT_FALSE(kernel_.HasDomain(id)) << id;
+    EXPECT_THROW(kernel_.space(id), std::out_of_range) << id;
+    EXPECT_THROW(kernel_.spec(id), std::out_of_range) << id;
+  }
+  EXPECT_THROW(kernel_.AllocRegion(gone, 1), std::out_of_range);
+  EXPECT_THROW(kernel_.VerifyRegion(gone, *gone_base, 1), std::out_of_range);
+  // The live domain is untouched, and ids are not reused.
+  EXPECT_TRUE(kernel_.Translate(d, *base).has_value());
+  EXPECT_EQ(kernel_.spec(d).name, "a");
+  EXPECT_EQ(kernel_.CreateDomain({.name = "b"}), gone + 1);
+}
+
+TEST_F(KernelTest, VerifyCountsOneCorruptLineOnInnerPage) {
+  const DomainId d = kernel_.CreateDomain({.name = "a"});
+  auto base = kernel_.AllocRegion(d, 4);
+  kernel_.FillRegion(d, *base, 4);
+  // Line 17 of page 2: neither the region's first page nor a page edge.
+  const PhysAddr pa = *kernel_.Translate(d, *base + 2 * kPageBytes + 17 * kLineBytes);
+  const DdrCoord coord = mc_.mapper().Map(pa);
+  DramDevice& device = mc_.device(coord.channel);
+  const uint64_t good = device.ReadLine(coord.rank, coord.bank, coord.row, coord.column);
+  device.WriteLine(coord.rank, coord.bank, coord.row, coord.column, good ^ 8);
+  const VerifyResult result = kernel_.VerifyRegion(d, *base, 4);
+  EXPECT_EQ(result.lines_checked, 4 * kLinesPerPage);
+  EXPECT_EQ(result.corrupted_lines, 1u);
+  const VerifyResult all = kernel_.VerifyAll();
+  EXPECT_EQ(all.lines_checked, 4 * kLinesPerPage);
+  EXPECT_EQ(all.corrupted_lines, 1u);
+}
+
+TEST_F(KernelTest, FrameRecordFollowsMoveAndDestroy) {
+  const DomainId d = kernel_.CreateDomain({.name = "a"});
+  auto base = kernel_.AllocRegion(d, 2);
+  const uint64_t old_frame = *kernel_.Translate(d, *base + kPageBytes) / kPageBytes;
+  const uint64_t kept_frame = *kernel_.Translate(d, *base) / kPageBytes;
+  const auto new_frame = alloc_.AllocFrame(d);
+  ASSERT_TRUE(new_frame.has_value());
+  ASSERT_TRUE(kernel_.MovePageToFrame(d, *base + kPageBytes + 5, *new_frame));
+
+  EXPECT_EQ(kernel_.OwnerOfFrame(*new_frame), d);
+  EXPECT_EQ(kernel_.OwnerOfFrame(old_frame), kInvalidDomain);
+  const auto located = kernel_.LocatePhys(*new_frame * kPageBytes + 300);
+  ASSERT_TRUE(located.has_value());
+  EXPECT_EQ(located->first, d);
+  EXPECT_EQ(located->second, *base + kPageBytes);
+  EXPECT_FALSE(kernel_.LocatePhys(old_frame * kPageBytes).has_value());
+  std::vector<uint64_t> expected = {kept_frame, *new_frame};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(kernel_.MappedFrames(), expected);
+
+  kernel_.DestroyDomain(d);
+  for (uint64_t frame : {kept_frame, *new_frame, old_frame}) {
+    EXPECT_EQ(kernel_.OwnerOfFrame(frame), kInvalidDomain) << frame;
+    EXPECT_FALSE(kernel_.LocatePhys(frame * kPageBytes).has_value()) << frame;
+  }
+  EXPECT_TRUE(kernel_.MappedFrames().empty());
+  EXPECT_EQ(kernel_.OwnerOfFrame(~uint64_t{0} / kPageBytes), kInvalidDomain);
 }
 
 }  // namespace

@@ -28,8 +28,9 @@ using namespace ht;
 
 namespace {
 
-int Fail(const std::string& what) {
-  std::fprintf(stderr, "hammercampaign: error: %s (try --help)\n", what.c_str());
+// `hint` is off for ArgParser errors, which end in "(try --help)" already.
+int Fail(const std::string& what, bool hint = true) {
+  std::fprintf(stderr, "hammercampaign: error: %s%s\n", what.c_str(), hint ? " (try --help)" : "");
   return 2;
 }
 
@@ -298,7 +299,7 @@ int main(int argc, char** argv) {
   parser.Option("out", "FILE",
                 "write the report here (default: stdout; binary when FILE ends in .htb)");
   if (!parser.Parse(argc - 1, argv + 1)) {
-    return Fail(parser.error());
+    return Fail(parser.error(), /*hint=*/false);
   }
   if (parser.help_requested()) {
     std::fputs(parser.Usage().c_str(), stdout);

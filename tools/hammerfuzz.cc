@@ -400,7 +400,7 @@ void WriteRepro(const std::string& out_dir, const FuzzCase& shrunk, const std::s
     body << "# " << line << "\n";
   }
   body << shrunk.ToSeedLine() << "\n";
-  for (const std::string file : {name.str(), std::string("repro_latest.seed")}) {
+  for (const std::string& file : {name.str(), std::string("repro_latest.seed")}) {
     std::ofstream out(out_dir + "/" + file);
     out << body.str();
   }

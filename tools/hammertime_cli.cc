@@ -46,8 +46,9 @@ struct CliOptions {
   Cycle sample_every = 0;
 };
 
-int Fail(const std::string& what) {
-  std::fprintf(stderr, "error: %s (try --help)\n", what.c_str());
+// `hint` is off for ArgParser errors, which end in "(try --help)" already.
+int Fail(const std::string& what, bool hint = true) {
+  std::fprintf(stderr, "error: %s%s\n", what.c_str(), hint ? " (try --help)" : "");
   return 2;
 }
 
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
       .Flag("verbose", "dump raw MC/DRAM statistics afterwards");
   AddRunnerFlags(parser);
   if (!parser.Parse(argc, argv)) {
-    return Fail(parser.error());
+    return Fail(parser.error(), /*hint=*/false);
   }
   if (parser.help_requested()) {
     std::fputs(parser.Usage().c_str(), stdout);
