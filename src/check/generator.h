@@ -13,7 +13,8 @@
 // `mask` disables config features (shrinking aid, kFuzz* bits below;
 // unused by pattern cases, kept so all kinds share one line shape);
 // `inject` != 0 arms the oracle's fault injection after that many
-// commands — recorded so an injected-divergence repro replays by itself.
+// commands (scheduler scans for scenario cases) — recorded so an
+// injected-divergence repro replays by itself.
 #ifndef HAMMERTIME_SRC_CHECK_GENERATOR_H_
 #define HAMMERTIME_SRC_CHECK_GENERATOR_H_
 

@@ -242,6 +242,7 @@ void SystemOracle::Attach(System& system) {
         std::make_unique<DeviceOracle>(mc.device(c), &mc.act_counter(c), options_));
     mc.device(c).set_check_observer(channels_.back().get());
   }
+  mc.set_sched_check_observer(&scheduler_);
 }
 
 void SystemOracle::Detach(System& system) {
@@ -249,6 +250,7 @@ void SystemOracle::Detach(System& system) {
   for (uint32_t c = 0; c < mc.channels(); ++c) {
     mc.device(c).set_check_observer(nullptr);
   }
+  mc.set_sched_check_observer(nullptr);
 }
 
 void SystemOracle::FinalCheck() {
@@ -263,7 +265,7 @@ bool SystemOracle::ok() const {
       return false;
     }
   }
-  return true;
+  return scheduler_.ok();
 }
 
 uint64_t SystemOracle::commands_observed() const {
@@ -282,7 +284,7 @@ std::string SystemOracle::Report() const {
     }
     out += channel->Report();
   }
-  return out;
+  return out + (out.empty() ? "" : "\n") + "scheduler: " + scheduler_.Report();
 }
 
 }  // namespace ht

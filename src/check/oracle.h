@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "check/reference.h"
+#include "check/sched_ref.h"
 #include "dram/check_hooks.h"
 #include "dram/device.h"
 #include "mc/act_counter.h"
@@ -43,6 +44,10 @@ struct OracleOptions {
   // observed commands the reference model stops recording PRE / PREA, so
   // its bank state drifts and the next ACT (or REF) must diverge. 0 = off.
   uint64_t break_reference_after = 0;
+  // The same for SystemOracle's scheduler oracle, counted in request
+  // scans: past this many the reference ignores the refresh drain mask
+  // (see SchedulerOracle). 0 = off.
+  uint64_t break_scheduler_after = 0;
   // Stop recording (but keep counting) divergences past this many.
   size_t max_divergences = 16;
 };
@@ -113,11 +118,15 @@ class DeviceOracle final : public DeviceCheckObserver {
 };
 
 // Attaches one DeviceOracle per channel of a System (device + that
-// channel's ACT counter). The System must outlive the oracle's use; call
-// FinalCheck() after the run, before the System is destroyed.
+// channel's ACT counter) and a SchedulerOracle to its memory controller
+// (every FR-FCFS scan and every memo an issue or enqueue sets). The
+// System must outlive the oracle's use; call FinalCheck() after the run,
+// before the System is destroyed.
 class SystemOracle {
  public:
-  explicit SystemOracle(OracleOptions options = {}) : options_(options) {}
+  explicit SystemOracle(OracleOptions options = {})
+      : options_(options),
+        scheduler_(options.max_divergences, options.break_scheduler_after) {}
 
   void Attach(System& system);
   void Detach(System& system);
@@ -125,11 +134,13 @@ class SystemOracle {
 
   bool ok() const;
   uint64_t commands_observed() const;
+  const SchedulerOracle& scheduler() const { return scheduler_; }
   std::string Report() const;
 
  private:
   OracleOptions options_;
   std::vector<std::unique_ptr<DeviceOracle>> channels_;
+  SchedulerOracle scheduler_;
 };
 
 }  // namespace ht

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace ht {
 
@@ -159,6 +160,22 @@ RefSchedResult ReferenceSchedPick(const SchedScan& scan) {
   return result;
 }
 
+RefSchedResult SchedulerOracle::Reference(const SchedScan& scan) const {
+  if (break_after_ == 0 || scans_checked_ <= break_after_) {
+    return ReferenceSchedPick(scan);
+  }
+  SchedScan broken = scan;
+  broken.due_slots = 0;
+  return ReferenceSchedPick(broken);
+}
+
+void SchedulerOracle::Diverge(std::string what) {
+  ++total_divergences_;
+  if (divergences_.size() < max_divergences_) {
+    divergences_.push_back(std::move(what));
+  }
+}
+
 void SchedulerOracle::OnScan(const SchedScan& scan, const SchedPick& pick) {
   ++scans_checked_;
   ++picks_by_kind_[static_cast<size_t>(pick.kind)];
@@ -168,7 +185,7 @@ void SchedulerOracle::OnScan(const SchedScan& scan, const SchedPick& pick) {
   if (scan.due_slots != 0) {
     ++draining_scans_;
   }
-  const RefSchedResult ref = ReferenceSchedPick(scan);
+  const RefSchedResult ref = Reference(scan);
   const bool none = pick.kind == SchedPick::Kind::kNone;
   const bool same = ref.queries_match && ref.pick.kind == pick.kind &&
                     ref.pick.throttle_stalls == pick.throttle_stalls &&
@@ -177,21 +194,33 @@ void SchedulerOracle::OnScan(const SchedScan& scan, const SchedPick& pick) {
   if (same) {
     return;
   }
-  ++total_divergences_;
-  if (divergences_.size() < max_divergences_) {
-    std::ostringstream out;
-    out << "[ch " << scan.channel << " @ cycle " << scan.now << ", " << scan.queue.size()
-        << " queued] picked " << Describe(pick) << "; reference " << Describe(ref.pick);
-    if (!ref.queries_match) {
-      out << "; ACT-gate queries differ";
-    }
-    divergences_.push_back(out.str());
+  std::ostringstream out;
+  out << "[ch " << scan.channel << " @ cycle " << scan.now << ", " << scan.queue.size()
+      << " queued] picked " << Describe(pick) << "; reference " << Describe(ref.pick);
+  if (!ref.queries_match) {
+    out << "; ACT-gate queries differ";
   }
+  Diverge(out.str());
+}
+
+void SchedulerOracle::OnMemo(const SchedScan& scan, SchedMemoKind kind) {
+  ++memos_checked_;
+  const RefSchedResult ref = Reference(scan);
+  if (ref.pick.kind == SchedPick::Kind::kNone) {
+    return;
+  }
+  std::ostringstream out;
+  out << "[ch " << scan.channel << ", " << scan.queue.size() << " queued] "
+      << (kind == SchedMemoKind::kIssue ? "post-issue" : "post-enqueue") << " memo "
+      << scan.now + 1 << " claims no request issues before it; reference picks "
+      << Describe(ref.pick) << " at cycle " << scan.now;
+  Diverge(out.str());
 }
 
 std::string SchedulerOracle::Report() const {
   std::ostringstream out;
-  out << scans_checked_ << " scans checked, " << total_divergences_ << " divergences";
+  out << scans_checked_ << " scans and " << memos_checked_ << " memos checked, "
+      << total_divergences_ << " divergences";
   for (const std::string& what : divergences_) {
     out << "\n  " << what;
   }

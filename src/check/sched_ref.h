@@ -34,15 +34,24 @@ struct RefSchedResult {
 // O(queue^2): every pass walks the queue in age order.
 RefSchedResult ReferenceSchedPick(const SchedScan& scan);
 
-// Checks every scan of a controller against ReferenceSchedPick.
+// Checks every scan of a controller against ReferenceSchedPick, and
+// every memo an issue or an enqueue sets: the reference must pick nothing
+// on the memo's last claimed cycle.
 class SchedulerOracle final : public SchedulerCheckObserver {
  public:
-  explicit SchedulerOracle(size_t max_divergences = 16) : max_divergences_(max_divergences) {}
+  // `break_after` != 0 injects a fault to test the oracle itself: past
+  // that many scans the reference ignores the refresh drain mask, so it
+  // offers hits and ACTs in draining banks and must diverge once a REF
+  // falls due with work queued.
+  explicit SchedulerOracle(size_t max_divergences = 16, uint64_t break_after = 0)
+      : max_divergences_(max_divergences), break_after_(break_after) {}
 
   void OnScan(const SchedScan& scan, const SchedPick& pick) override;
+  void OnMemo(const SchedScan& scan, SchedMemoKind kind) override;
 
   bool ok() const { return total_divergences_ == 0; }
   uint64_t scans_checked() const { return scans_checked_; }
+  uint64_t memos_checked() const { return memos_checked_; }
   uint64_t total_divergences() const { return total_divergences_; }
   // Scans by outcome, indexed by SchedPick::Kind; and scans that saw a
   // throttled ACT or a draining refresh slot (coverage for tests).
@@ -52,8 +61,14 @@ class SchedulerOracle final : public SchedulerCheckObserver {
   std::string Report() const;
 
  private:
+  // The reference's verdict, through the injected fault once it engages.
+  RefSchedResult Reference(const SchedScan& scan) const;
+  void Diverge(std::string what);
+
   size_t max_divergences_;
+  uint64_t break_after_;
   uint64_t scans_checked_ = 0;
+  uint64_t memos_checked_ = 0;
   uint64_t total_divergences_ = 0;
   uint64_t picks_by_kind_[4] = {0, 0, 0, 0};
   uint64_t throttled_scans_ = 0;

@@ -70,59 +70,32 @@ TimingChecker::TimingChecker(const DramOrg& org, const DramTiming& timing,
 
 Cycle TimingChecker::EarliestCycle(const DdrCommand& cmd) const {
   const RankMeta& rank = ranks_[cmd.rank];
-  Cycle earliest = rank.any_ready;
   switch (cmd.type) {
-    case DdrCommandType::kActivate: {
-      earliest = std::max({earliest, ready_act_[Slot(cmd.rank, cmd.bank)], rank.act_rank_ready});
-      // tFAW: the 4th-most-recent ACT must be at least tFAW old. Entries
-      // store cycle+1 so a legitimate ACT at cycle 0 is distinguishable
-      // from "no ACT recorded yet".
-      const Cycle oldest = rank.faw_acts[rank.faw_head];
-      earliest = std::max(earliest, oldest == 0 ? Cycle{0} : (oldest - 1) + table_.faw_window);
-      break;
-    }
-    case DdrCommandType::kPrecharge: {
-      earliest = std::max(earliest, ready_pre_[Slot(cmd.rank, cmd.bank)]);
-      break;
-    }
+    case DdrCommandType::kActivate:
+      return ActEarliest(cmd.rank, cmd.bank);
+    case DdrCommandType::kPrecharge:
+      return PreEarliest(cmd.rank, cmd.bank);
     case DdrCommandType::kPrechargeAll: {
+      Cycle earliest = rank.any_ready;
       for (uint64_t mask = rank.open_mask; mask != 0; mask &= mask - 1) {
         const uint32_t b = static_cast<uint32_t>(__builtin_ctzll(mask));
         earliest = std::max(earliest, ready_pre_[Slot(cmd.rank, b)]);
       }
-      break;
+      return earliest;
     }
-    case DdrCommandType::kRead: {
-      earliest = std::max({earliest, ready_rdwr_[Slot(cmd.rank, cmd.bank)], rank.rd_ready});
-      // Data bus availability: burst starts tCL after issue.
-      if (data_bus_free_ > earliest + table_.rd_lead) {
-        earliest = data_bus_free_ - table_.rd_lead;
-      }
-      break;
-    }
-    case DdrCommandType::kWrite: {
-      earliest = std::max({earliest, ready_rdwr_[Slot(cmd.rank, cmd.bank)], rank.wr_ready});
-      if (data_bus_free_ > earliest + table_.wr_lead) {
-        earliest = data_bus_free_ - table_.wr_lead;
-      }
-      break;
-    }
-    case DdrCommandType::kRefresh: {
+    case DdrCommandType::kRead:
+      return RdWrEarliest(cmd.rank, cmd.bank, /*write=*/false);
+    case DdrCommandType::kWrite:
+      return RdWrEarliest(cmd.rank, cmd.bank, /*write=*/true);
+    case DdrCommandType::kRefresh:
       // All banks must be quiet; the running max over every bank's ACT
       // deadline is exactly "the last bank finishes its tRP/tRC/occupancy".
-      earliest = std::max(earliest, rank.all_banks_act_ready);
-      break;
-    }
-    case DdrCommandType::kRefreshSb: {
-      earliest = std::max(earliest, ready_act_[Slot(cmd.rank, cmd.bank)]);
-      break;
-    }
-    case DdrCommandType::kRefreshNeighbors: {
-      earliest = std::max(earliest, ready_act_[Slot(cmd.rank, cmd.bank)]);
-      break;
-    }
+      return std::max(rank.any_ready, rank.all_banks_act_ready);
+    case DdrCommandType::kRefreshSb:
+    case DdrCommandType::kRefreshNeighbors:
+      return std::max(rank.any_ready, ready_act_[Slot(cmd.rank, cmd.bank)]);
   }
-  return earliest;
+  return rank.any_ready;
 }
 
 TimingVerdict TimingChecker::Check(const DdrCommand& cmd, Cycle now) const {

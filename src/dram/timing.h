@@ -25,6 +25,7 @@
 #ifndef HAMMERTIME_SRC_DRAM_TIMING_H_
 #define HAMMERTIME_SRC_DRAM_TIMING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -95,6 +96,34 @@ class TimingChecker {
   // Records `cmd` as issued at `now`. Callers must Check() first; Record
   // on an illegal command leaves state undefined.
   void Record(const DdrCommand& cmd, Cycle now);
+
+  // EarliestCycle of an ACT / PRE / RD-or-WR to one bank, without the
+  // command-type dispatch. Inline: the FR-FCFS scan asks one of these per
+  // candidate and the post-issue memo one bank's worth per command.
+  Cycle ActEarliest(uint32_t rank, uint32_t bank_index) const {
+    const RankMeta& meta = ranks_[rank];
+    const Cycle earliest =
+        std::max({meta.any_ready, ready_act_[Slot(rank, bank_index)], meta.act_rank_ready});
+    // tFAW: the 4th-most-recent ACT must be at least tFAW old. Entries
+    // store cycle+1 so a legitimate ACT at cycle 0 is distinguishable
+    // from "no ACT recorded yet".
+    const Cycle oldest = meta.faw_acts[meta.faw_head];
+    return oldest == 0 ? earliest : std::max(earliest, (oldest - 1) + table_.faw_window);
+  }
+  Cycle PreEarliest(uint32_t rank, uint32_t bank_index) const {
+    return std::max(ranks_[rank].any_ready, ready_pre_[Slot(rank, bank_index)]);
+  }
+  Cycle RdWrEarliest(uint32_t rank, uint32_t bank_index, bool write) const {
+    const RankMeta& meta = ranks_[rank];
+    Cycle earliest = std::max({meta.any_ready, ready_rdwr_[Slot(rank, bank_index)],
+                               write ? meta.wr_ready : meta.rd_ready});
+    // Data bus availability: the burst starts tCL (tCWL) after issue.
+    const Cycle lead = write ? table_.wr_lead : table_.rd_lead;
+    if (data_bus_free_ > earliest + lead) {
+      earliest = data_bus_free_ - lead;
+    }
+    return earliest;
+  }
 
   // Row currently latched in `bank`'s row buffer, if any. Inline: the
   // FR-FCFS scan calls this per queue entry per cycle, so it compiles to

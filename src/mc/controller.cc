@@ -26,6 +26,10 @@ MemoryController::MemoryController(const DramConfig& dram_config, const McConfig
     // Bank-granular bitmasks (pending_banks, the drain mask) assume
     // ranks * banks <= 64, as the timing checker and refresh slots do.
     channel.banks.resize(static_cast<size_t>(dram_config_.org.ranks) * dram_config_.org.banks);
+    for (uint32_t b = 0; b < channel.banks.size(); ++b) {
+      channel.banks[b].rank = b / dram_config_.org.banks;
+      channel.banks[b].bank = b % dram_config_.org.banks;
+    }
     if (per_bank) {
       // One due-clock per (rank, bank), staggered so REFsb commands spread
       // evenly instead of bursting.
@@ -60,11 +64,6 @@ MemoryController::MemoryController(const DramConfig& dram_config, const McConfig
   h_cmds_per_wake_ = stats_.histogram("mc.cmds_per_wake");
   h_read_latency_ = stats_.histogram("mc.read_latency");
   h_write_latency_ = stats_.histogram("mc.write_latency");
-  h_ch_cmds_per_wake_.reserve(channels);
-  for (uint32_t c = 0; c < channels; ++c) {
-    h_ch_cmds_per_wake_.push_back(
-        stats_.histogram("mc.ch" + std::to_string(c) + ".cmds_per_wake"));
-  }
 }
 
 std::optional<uint32_t> MemoryController::DomainGroup(DomainId domain) const {
@@ -122,8 +121,21 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   }
   channel.pending_banks |= 1ull << bank_slot;
   ++channel.queued;
-  channel.next_sched = 0;
-  channel.next_try = 0;
+  if (config_.event_driven && !gate_may_throttle_) {
+    // Only this bank's candidates changed, so the earliest cycle anything
+    // could issue is the old memo or this bank's earliest candidate. No
+    // clamp to now + 1: DrainCompletions enqueues writebacks inside Tick,
+    // before this cycle's scan, and a legal one must issue this cycle.
+    const Cycle earliest = BankEarliest(coord.channel, bank);
+    channel.next_sched = std::min(channel.next_sched, earliest);
+    channel.next_try = std::min(channel.next_try, earliest);
+    if (sched_check_ != nullptr) [[unlikely]] {
+      CheckMemo(coord.channel, now, SchedMemoKind::kEnqueue);
+    }
+  } else {
+    channel.next_sched = 0;
+    channel.next_try = 0;
+  }
   c_requests_->Increment();
   return true;
 }
@@ -210,10 +222,8 @@ void MemoryController::Tick(Cycle now) {
     }
     // One "wake batch" = one channel scan; the histogram shows how many
     // commands each scan produced (0 = a wasted wake).
-    const uint64_t issued = TickChannel(c, now) ? 1 : 0;
     c_wake_batches_->Increment();
-    h_cmds_per_wake_->Record(issued);
-    h_ch_cmds_per_wake_[c]->Record(issued);
+    h_cmds_per_wake_->Record(TickChannel(c, now) ? 1 : 0);
   }
 }
 
@@ -248,7 +258,20 @@ bool MemoryController::TickChannel(uint32_t channel_index, Cycle now) {
     return true;
   }
   if (TryRequests(channel_index, now, request_retry)) {
-    channel.next_try = 0;
+    // The post-issue memo covers the requests stage. It stands for the
+    // whole channel while no internal op waits (the issue may have pushed
+    // mitigation refreshes) and no refresh slot is due by the next cycle;
+    // the nearest due then bounds it. Otherwise rescan next cycle.
+    if (request_retry != 0 && channel.internal_ops.empty() && refresh_retry > now + 1) {
+      channel.next_sched = std::min(request_retry, refresh_retry);
+      channel.next_try = channel.next_sched;
+      if (sched_check_ != nullptr) [[unlikely]] {
+        CheckMemo(channel_index, now + 1, SchedMemoKind::kIssue);
+      }
+    } else {
+      channel.next_sched = 0;
+      channel.next_try = 0;
+    }
     return true;
   }
   // Nothing issued. Every stage's retry is exact under unchanged channel
@@ -432,8 +455,8 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
   if (sched_check_ != nullptr) [[unlikely]] {
     SnapshotScan(channel_index, now);
   }
-  uint32_t slot = kNoSlot;
-  const SchedPick pick = PickRequestCommand(channel_index, now, slot);
+  ScanTally tally;
+  const SchedPick pick = PickRequestCommand(channel_index, now, tally);
   if (sched_check_ != nullptr) [[unlikely]] {
     sched_check_->OnScan(sched_scan_, pick);
   }
@@ -442,8 +465,11 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
     retry = channel.next_sched;
     return false;
   }
-  devices_[channel_index]->Issue(pick.cmd, now);
+  const uint32_t slot = tally.slot;
   PendingRequest& pending = channel.slots[slot];
+  const DdrCoord coord = pending.coord;
+  const uint64_t seq_before = channel.next_seq;
+  devices_[channel_index]->Issue(pick.cmd, now);
   switch (pick.kind) {
     case SchedPick::Kind::kHit:
       if (!pending.counted) {
@@ -469,7 +495,22 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
     case SchedPick::Kind::kNone:
       break;
   }
-  channel.next_sched = 0;
+  // Post-issue memo. When the picked command was the scan's only legal
+  // candidate, every other candidate was blocked at its EarliestCycle,
+  // and the issue can only raise those: deadlines only rise, the rank and
+  // channel terms (tRRD, tFAW, tCCD, bus turnaround) only push later, and
+  // only the picked bank's candidate set changed. So nothing can issue
+  // before the blocked minimum or that one bank's new earliest. A gate
+  // that may throttle, an enqueue during the issue (a posted write's
+  // response can enqueue a writeback) or a draining slot leaves the next
+  // cycle to a rescan.
+  retry = 0;
+  if (config_.event_driven && !gate_may_throttle_ && tally.legal == 1 && !tally.draining &&
+      channel.next_seq == seq_before) {
+    retry = std::min(tally.blocked,
+                     BankEarliest(channel_index, channel.banks[coord.rank * dram_config_.org.banks +
+                                                               coord.bank]));
+  }
   return true;
 }
 
@@ -493,9 +534,9 @@ void MemoryController::RefreshBankSummary(ChannelState& channel, BankQueue& bank
 }
 
 SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now,
-                                               uint32_t& picked_slot) {
+                                               ScanTally& tally) {
   ChannelState& channel = channels_[channel_index];
-  const DramDevice& device = *devices_[channel_index];
+  const TimingChecker& timing = devices_[channel_index]->timing();
   const uint32_t banks = dram_config_.org.banks;
   SchedPick pick;
   // Earliest cycle any candidate blocked purely by timing becomes legal.
@@ -522,116 +563,122 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
       }
     }
   }
+  tally.draining = draining != 0;
 
   // One walk over the banks with queued work gathers every pass's
   // candidates. Each is structurally legal (hits target open banks, ACTs
   // closed ones, PRE has no precondition), so Check(cmd, now) == kOk
   // reduces to EarliestCycle(cmd) <= now and one call serves both uses.
-  // A blocked candidate folds its cycle into `block`, which only matters
-  // when no pass issues.
+  // A blocked candidate folds its cycle into `block`, which sets the
+  // failed scan's memo and the post-issue one.
   //
   //  * Pass 1 (FR) wants the oldest legal row hit. The timing checker
   //    ignores the column (and auto-precharge), so one verdict per
   //    (bank, RD|WR) covers every such hit, and only the oldest can win.
   //  * Pass 2 (FCFS) wants an ACT for a closed bank's oldest request; a
-  //    bank's younger requests never claim it.
+  //    bank's younger requests never claim it. Without a gate that may
+  //    throttle, the walk keeps the oldest legal one; otherwise the gate
+  //    must be asked in age order, so closed banks are sorted first.
   //  * Pass 3 wants a PRE for a bank whose oldest request conflicts with
   //    its open row. A younger conflict never precharges under an older
   //    hit, so only the oldest request can be the one a PRE serves.
   //    Draining banks take part: closing rows is what draining waits for.
   uint32_t hit_slot = kNoSlot;
-  DdrCommand hit_cmd;
+  uint32_t act_slot = kNoSlot;
   uint32_t pre_slot = kNoSlot;
-  // Closed-bank candidates packed as (oldest seq << 6) | bank, so sorting
-  // them orders by age.
+  // Closed-bank candidates for a gate that may throttle, packed as
+  // (oldest seq << 6) | bank, so sorting them orders by age.
   std::array<uint64_t, 64> closed;
   size_t closed_count = 0;
   const auto older = [&channel](uint32_t slot, uint32_t than) {
     return than == kNoSlot || channel.slots[slot].seq < channel.slots[than].seq;
   };
+  // Folds one candidate's earliest cycle in; true iff it is legal now.
+  const auto legal = [&](Cycle earliest) {
+    if (earliest > now) {
+      block = std::min(block, earliest);
+      return false;
+    }
+    ++tally.legal;
+    return true;
+  };
   for (uint64_t mask = channel.pending_banks; mask != 0; mask &= mask - 1) {
     const uint32_t b = static_cast<uint32_t>(__builtin_ctzll(mask));
-    const uint32_t rank = b / banks;
-    const uint32_t bank_index = b % banks;
     BankQueue& bank = channel.banks[b];
     const bool drains = (draining >> b) & 1;
-    const auto open_row = device.OpenRow(rank, bank_index);
+    const auto open_row = timing.OpenRow(bank.rank, bank.bank);
     if (!open_row.has_value()) {
-      if (!drains) {
+      if (drains) {
+        continue;
+      }
+      if (gate_may_throttle_) {
         closed[closed_count++] = (channel.slots[bank.head].seq << 6) | b;
+      } else if (legal(timing.ActEarliest(bank.rank, bank.bank)) && older(bank.head, act_slot)) {
+        act_slot = bank.head;
       }
       continue;
     }
     if (!drains) {
       RefreshBankSummary(channel, bank, *open_row);
       for (const uint32_t slot : bank.hit) {
-        if (slot == kNoSlot) {
-          continue;
-        }
-        const PendingRequest& pending = channel.slots[slot];
-        const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
-        const DdrCommand cmd =
-            pending.request.op == MemOp::kRead
-                ? DdrCommand::Rd(rank, bank_index, pending.coord.column, ap)
-                : DdrCommand::Wr(rank, bank_index, pending.coord.column, ap);
-        const Cycle earliest = device.EarliestCycle(cmd);
-        if (earliest > now) {
-          block = std::min(block, earliest);
-        } else if (older(slot, hit_slot)) {
+        if (slot != kNoSlot &&
+            legal(timing.RdWrEarliest(bank.rank, bank.bank,
+                                      channel.slots[slot].request.op == MemOp::kWrite)) &&
+            older(slot, hit_slot)) {
           hit_slot = slot;
-          hit_cmd = cmd;
         }
       }
     }
-    if (channel.slots[bank.head].coord.row != *open_row) {
-      const Cycle earliest = device.EarliestCycle(DdrCommand::Pre(rank, bank_index));
-      if (earliest > now) {
-        block = std::min(block, earliest);
-      } else if (older(bank.head, pre_slot)) {
-        pre_slot = bank.head;
-      }
+    if (channel.slots[bank.head].coord.row != *open_row &&
+        legal(timing.PreEarliest(bank.rank, bank.bank)) && older(bank.head, pre_slot)) {
+      pre_slot = bank.head;
     }
   }
   if (hit_slot != kNoSlot) {
+    const PendingRequest& pending = channel.slots[hit_slot];
+    const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
     pick.kind = SchedPick::Kind::kHit;
-    pick.seq = channel.slots[hit_slot].seq;
-    pick.cmd = hit_cmd;
-    picked_slot = hit_slot;
+    pick.seq = pending.seq;
+    pick.cmd = pending.request.op == MemOp::kRead
+                   ? DdrCommand::Rd(pending.coord.rank, pending.coord.bank, pending.coord.column, ap)
+                   : DdrCommand::Wr(pending.coord.rank, pending.coord.bank, pending.coord.column, ap);
+    tally.slot = hit_slot;
+    tally.blocked = block;
     return pick;
   }
 
-  // Pass 2 offers closed banks in age order of their oldest request and
-  // stops at the first legal ACT, because the mitigation's gate counts
-  // every throttled query.
+  // Pass 2 with a gate that may throttle offers closed banks in age order
+  // of their oldest request and stops at the first legal ACT, because the
+  // gate counts every throttled query.
   std::sort(closed.begin(), closed.begin() + static_cast<ptrdiff_t>(closed_count));
   for (size_t i = 0; i < closed_count; ++i) {
     const uint32_t slot = channel.banks[closed[i] & 63].head;
     const PendingRequest& pending = channel.slots[slot];
-    if (mitigation_ != nullptr) {
-      const Cycle allowed = mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank,
-                                                      pending.coord.row, now);
-      if (sched_check_ != nullptr) [[unlikely]] {
-        sched_scan_.act_queries.push_back(
-            {pending.coord.rank, pending.coord.bank, pending.coord.row, allowed});
-      }
-      if (allowed > now) {
-        c_throttle_stalls_->Increment();
-        ++pick.throttle_stalls;
-        unstable = true;
-        continue;
-      }
+    const Cycle allowed = mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank,
+                                                    pending.coord.row, now);
+    if (sched_check_ != nullptr) [[unlikely]] {
+      sched_scan_.act_queries.push_back(
+          {pending.coord.rank, pending.coord.bank, pending.coord.row, allowed});
     }
-    const DdrCommand act =
-        DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
-    const Cycle earliest = device.EarliestCycle(act);
-    if (earliest <= now) {
-      pick.kind = SchedPick::Kind::kAct;
-      pick.seq = pending.seq;
-      pick.cmd = act;
-      picked_slot = slot;
-      return pick;
+    if (allowed > now) {
+      c_throttle_stalls_->Increment();
+      ++pick.throttle_stalls;
+      unstable = true;
+      continue;
     }
-    block = std::min(block, earliest);
+    if (legal(timing.ActEarliest(pending.coord.rank, pending.coord.bank))) {
+      act_slot = slot;
+      break;
+    }
+  }
+  if (act_slot != kNoSlot) {
+    const PendingRequest& pending = channel.slots[act_slot];
+    pick.kind = SchedPick::Kind::kAct;
+    pick.seq = pending.seq;
+    pick.cmd = DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
+    tally.slot = act_slot;
+    tally.blocked = block;
+    return pick;
   }
 
   if (pre_slot != kNoSlot) {
@@ -639,15 +686,41 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
     pick.kind = SchedPick::Kind::kPre;
     pick.seq = pending.seq;
     pick.cmd = DdrCommand::Pre(pending.coord.rank, pending.coord.bank);
-    picked_slot = pre_slot;
+    tally.slot = pre_slot;
+    tally.blocked = block;
     return pick;
   }
   // Nothing issues. Candidates filtered for non-timing reasons (draining
   // banks, a bank's younger requests, an older hit pinning an open row)
-  // can only unblock via a state change, which resets next_sched;
-  // timing-blocked candidates unblock at `block`.
+  // can only unblock via a state change, which resets or lowers
+  // next_sched; timing-blocked candidates unblock at `block`.
   pick.next_sched = unstable ? now + 1 : std::max(block, now + 1);
   return pick;
+}
+
+Cycle MemoryController::BankEarliest(uint32_t channel_index, BankQueue& bank) {
+  if (bank.head == kNoSlot) {
+    return kNeverCycle;
+  }
+  ChannelState& channel = channels_[channel_index];
+  const TimingChecker& timing = devices_[channel_index]->timing();
+  const auto open_row = timing.OpenRow(bank.rank, bank.bank);
+  if (!open_row.has_value()) {
+    return timing.ActEarliest(bank.rank, bank.bank);
+  }
+  RefreshBankSummary(channel, bank, *open_row);
+  Cycle earliest = kNeverCycle;
+  for (const uint32_t slot : bank.hit) {
+    if (slot != kNoSlot) {
+      earliest = std::min(earliest, timing.RdWrEarliest(bank.rank, bank.bank,
+                                                        channel.slots[slot].request.op ==
+                                                            MemOp::kWrite));
+    }
+  }
+  if (channel.slots[bank.head].coord.row != *open_row) {
+    earliest = std::min(earliest, timing.PreEarliest(bank.rank, bank.bank));
+  }
+  return earliest;
 }
 
 void MemoryController::SnapshotScan(uint32_t channel_index, Cycle now) {
@@ -664,7 +737,7 @@ void MemoryController::SnapshotScan(uint32_t channel_index, Cycle now) {
       scan.due_slots |= 1ull << slot;
     }
   }
-  scan.gated = mitigation_ != nullptr;
+  scan.gated = gate_may_throttle_;
   scan.queue.clear();
   for (uint64_t mask = channel.pending_banks; mask != 0; mask &= mask - 1) {
     const BankQueue& bank = channel.banks[static_cast<size_t>(__builtin_ctzll(mask))];
@@ -677,6 +750,16 @@ void MemoryController::SnapshotScan(uint32_t channel_index, Cycle now) {
             [](const SchedRequestView& a, const SchedRequestView& b) { return a.seq < b.seq; });
   scan.timing = devices_[channel_index]->timing();
   scan.act_queries.clear();
+}
+
+void MemoryController::CheckMemo(uint32_t channel_index, Cycle from, SchedMemoKind kind) {
+  const Cycle memo = channels_[channel_index].next_sched;
+  if (memo <= from) {
+    return;  // Claims no cycle.
+  }
+  SnapshotScan(channel_index, from);
+  sched_scan_.now = memo - 1;
+  sched_check_->OnMemo(sched_scan_, kind);
 }
 
 void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t slot, Cycle now) {
@@ -860,6 +943,7 @@ size_t MemoryController::QueuedRequests() const {
 
 void MemoryController::InstallMitigation(std::unique_ptr<McMitigation> mitigation) {
   mitigation_ = std::move(mitigation);
+  gate_may_throttle_ = mitigation_ != nullptr && mitigation_->MayThrottle();
 }
 
 void MemoryController::set_trace(TraceBuffer* trace) {

@@ -56,11 +56,12 @@ struct McConfig {
   // Blast radius software/mitigations assume when refreshing neighbours.
   // 0 = use the device's true radius (perfectly calibrated defense).
   uint32_t assumed_blast_radius = 0;
-  // Event-driven busy-phase scheduling: each failed channel scan reports
-  // the exact earliest cycle it could issue, NextWake returns that cycle
-  // instead of `now`, and Tick memo-skips channels before it. Produces
-  // bit-identical command streams and stats (scheduler telemetry aside);
-  // disable to cross-check or to measure the per-cycle baseline.
+  // Event-driven busy-phase scheduling: each channel keeps the earliest
+  // cycle it could next issue (from failed scans, issuing scans and
+  // enqueues), NextWake returns that cycle instead of `now`, and Tick
+  // memo-skips channels before it. Produces bit-identical command
+  // streams and stats (scheduler telemetry aside); disable to
+  // cross-check or to measure the per-cycle baseline.
   bool event_driven = true;
 };
 
@@ -146,7 +147,8 @@ class MemoryController {
 
   // Attach (or detach with nullptr) a scheduler check observer (see
   // mc/sched_hooks.h): it receives a pre-scan snapshot and the pick of
-  // every request scan.
+  // every request scan, and a snapshot behind every memo an issue or an
+  // enqueue sets.
   void set_sched_check_observer(SchedulerCheckObserver* check) { sched_check_ = check; }
 
   // Attach (or detach with nullptr) a trace buffer; propagates to every
@@ -177,6 +179,8 @@ class MemoryController {
   // keep the summary exact for its key; a scan that finds the bank's open
   // row differs from the key rebuilds it by walking the list.
   struct BankQueue {
+    uint32_t rank = 0;        // Fixed coordinates, so scans skip the divide.
+    uint32_t bank = 0;
     uint32_t head = kNoSlot;  // Oldest request.
     uint32_t tail = kNoSlot;
     uint32_t key_row = kNoRow;
@@ -219,15 +223,19 @@ class MemoryController {
     std::vector<Cycle> ref_due;  // Per rank.
     std::priority_queue<InFlightRead, std::vector<InFlightRead>, std::greater<>> in_flight;
     // Scheduler memo: TryRequests provably cannot issue before this cycle
-    // unless channel state changes first. Every event that could change a
-    // scan's outcome (enqueue, any DDR command issued on the channel,
-    // mitigation epoch) resets it to 0, forcing a fresh scan.
+    // unless channel state changes first. A failed scan sets it to its
+    // blocked candidates' earliest cycle. In event-driven mode with a gate
+    // that cannot throttle, an issuing scan sets it too (see TickChannel)
+    // and an enqueue lowers it to the new request's bank; otherwise every
+    // event that could change a scan's outcome (enqueue, any DDR command
+    // issued on the channel, mitigation epoch) resets it to 0, forcing a
+    // fresh scan.
     Cycle next_sched = 0;
     // Whole-channel memo: no scheduling stage (refresh manager, internal
     // ops, requests) can issue strictly before this cycle unless channel
-    // state changes first. Reset to 0 by the same events as next_sched
-    // plus internal-op pushes. Event-driven mode gates TickChannel on it
-    // and NextWake reports it; legacy mode ignores it.
+    // state changes first. Set, lowered and reset with next_sched, and
+    // also reset by internal-op pushes. Event-driven mode gates
+    // TickChannel on it and NextWake reports it; legacy mode ignores it.
     Cycle next_try = 0;
   };
 
@@ -237,18 +245,34 @@ class MemoryController {
   // Each stage returns true iff it issued a command. On false, `retry` is
   // lowered to the earliest cycle the stage could act given unchanged
   // channel state (kNeverCycle when only a state change can unblock it).
+  // On true, TryRequests sets `retry` to the earliest cycle it could issue
+  // again, or to 0 when the issue left that unknown.
   bool TryRefreshManager(uint32_t channel, Cycle now, Cycle& retry);
   bool TryInternalOps(uint32_t channel, Cycle now, Cycle& retry);
   bool TryRequests(uint32_t channel, Cycle now, Cycle& retry);
-  // FR-FCFS selection over the per-bank lists; sets `slot` to the picked
-  // request. Issues nothing itself but does query (and count) the
-  // mitigation's ACT gate.
-  SchedPick PickRequestCommand(uint32_t channel, Cycle now, uint32_t& slot);
+  // What a scan saw besides its pick.
+  struct ScanTally {
+    uint32_t slot = kNoSlot;      // The picked request.
+    uint32_t legal = 0;           // Candidates legal at `now`; exact unless
+                                  // the gate may throttle.
+    Cycle blocked = kNeverCycle;  // Min EarliestCycle over blocked candidates.
+    bool draining = false;        // A refresh slot was due.
+  };
+  // FR-FCFS selection over the per-bank lists. Issues nothing itself but
+  // does query (and count) the mitigation's ACT gate when it may throttle.
+  SchedPick PickRequestCommand(uint32_t channel, Cycle now, ScanTally& tally);
+  // Earliest cycle any of `bank`'s scan candidates becomes timing-legal
+  // (kNeverCycle for an empty bank), draining ignored. Rekeys its summary.
+  Cycle BankEarliest(uint32_t channel, BankQueue& bank);
   // Rekeys a bank's row-hit summary to `open_row` if it is keyed to
   // another row.
   void RefreshBankSummary(ChannelState& channel, BankQueue& bank, uint32_t open_row);
-  // Fills sched_scan_ with the pre-scan state for the check observer.
+  // Fills sched_scan_ with the channel state for the check observer, with
+  // the refresh slots due at `now`.
   void SnapshotScan(uint32_t channel, Cycle now);
+  // Hands the check observer the claim behind the channel's scan memo:
+  // nothing issues from cycle `from` up to the memo.
+  void CheckMemo(uint32_t channel, Cycle from, SchedMemoKind kind);
   void IssueRequestAccess(uint32_t channel, uint32_t slot, Cycle now);
   void DrainCompletions(uint32_t channel, Cycle now);
   void NotifyMitigationActivate(const DdrCoord& coord, Cycle now);
@@ -263,6 +287,7 @@ class MemoryController {
   std::vector<std::unique_ptr<ActCounter>> act_counters_;
   std::vector<ChannelState> channels_;
   std::unique_ptr<McMitigation> mitigation_;
+  bool gate_may_throttle_ = false;  // mitigation_ && mitigation_->MayThrottle().
   std::unordered_map<DomainId, uint32_t> domain_groups_;
   MemResponseCallback response_handler_;
   Cycle next_epoch_ = 0;
@@ -295,7 +320,6 @@ class MemoryController {
   Histogram* h_cmds_per_wake_;   // Commands issued per channel scan (0/1).
   Histogram* h_read_latency_;
   Histogram* h_write_latency_;
-  std::vector<Histogram*> h_ch_cmds_per_wake_;  // "mc.chN.cmds_per_wake".
   uint64_t mitigation_probes_synced_ = 0;
 
   static constexpr size_t kMaxInternalOps = 256;

@@ -60,6 +60,14 @@ class McMitigation {
     return now;
   }
 
+  // Whether ActAllowedAt can ever answer later than `now`. The controller
+  // never asks a gate that declares it cannot, and only then lets an
+  // issuing scan or an enqueue set the next scan cycle in advance; a gate
+  // that can throttle keeps the per-cycle rescans whose queries (and
+  // throttle counts) it may rely on. Overrides must be exact: "cannot"
+  // on a gate that throttles makes the controller skip its answers.
+  virtual bool MayThrottle() const { return true; }
+
   // Called at each refresh-window epoch boundary so windowed state resets.
   virtual void OnEpoch(Cycle now) { (void)now; }
 
@@ -84,6 +92,7 @@ class ParaMitigation : public McMitigation {
       : org_(org), config_(config), rng_(config.seed) {}
 
   std::string name() const override { return "para"; }
+  bool MayThrottle() const override { return false; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   uint64_t SramBits() const override { return 64; }  // Just an RNG/LFSR.
@@ -108,6 +117,7 @@ class GrapheneMitigation : public McMitigation {
                      const GrapheneConfig& config);
 
   std::string name() const override { return "graphene"; }
+  bool MayThrottle() const override { return false; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   void OnEpoch(Cycle now) override;
@@ -150,6 +160,7 @@ class TwiceMitigation : public McMitigation {
                   const DisturbanceParams& disturbance, const TwiceConfig& config);
 
   std::string name() const override { return "twice"; }
+  bool MayThrottle() const override { return false; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   void OnEpoch(Cycle now) override;

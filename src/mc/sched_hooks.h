@@ -60,6 +60,12 @@ struct SchedPick {
   uint64_t throttle_stalls = 0; // Gate answers later than `now`.
 };
 
+// What set a scan memo without a failed scan.
+enum class SchedMemoKind : uint8_t {
+  kIssue,    // An issuing scan, from its blocked candidates.
+  kEnqueue,  // An enqueue, lowered to the new request's bank.
+};
+
 class SchedulerCheckObserver {
  public:
   virtual ~SchedulerCheckObserver() = default;
@@ -67,6 +73,17 @@ class SchedulerCheckObserver {
   // Called after every request scan that ran (memo hits do not scan),
   // before the picked command issues.
   virtual void OnScan(const SchedScan& scan, const SchedPick& pick) = 0;
+
+  // Called after an issue or an enqueue sets the scan memo to a cycle L
+  // that claims at least one cycle: no request command can issue from the
+  // first claimed cycle (the next one after an issue, the current one
+  // after an enqueue) up to L - 1. `scan` is the state the claim is
+  // about, with `scan.now` = L - 1 and `due_slots` as of the first claimed
+  // cycle (draining only grows until a REF resets the memo, so the fewest
+  // draining banks is the strongest check). Timing legality is monotone
+  // in time, so a scan at L - 1 that picks nothing covers every earlier
+  // claimed cycle.
+  virtual void OnMemo(const SchedScan& scan, SchedMemoKind kind) = 0;
 };
 
 }  // namespace ht

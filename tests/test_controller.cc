@@ -575,6 +575,68 @@ TEST_F(ControllerTest, BlockHammerThrottledBanksAreQueriedInAgeOrder) {
   EXPECT_EQ(raw->throttled_acts(), mc_->stats().Get("mc.throttle_stalls"));
 }
 
+// --- Scan memos set by issues and enqueues ----------------------------------
+
+// The issuing scan sets the next scan cycle: after the ACT only the RD
+// waits (at tRCD), so the pair costs exactly two scans, none wasted.
+TEST_F(ControllerTest, ActThenReadScansOnlyAtTheirIssueCycles) {
+  const DramTiming& t = mc_->dram_config().timing;
+  RunFor(100);
+  ASSERT_GT(mc_->dram_config().RefPeriod(), now_ + 1000);  // No REF in the way.
+  const uint64_t scans = mc_->stats().Get("mc.wake_batches");
+  const Cycle start = now_;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(t.tRCD + t.tCL + t.tBL + 100);
+  ASSERT_EQ(log_.entries.size(), 2u);
+  EXPECT_EQ(log_.entries[0].cmd.type, DdrCommandType::kActivate);
+  EXPECT_EQ(log_.entries[0].at, start);
+  EXPECT_EQ(log_.entries[1].cmd.type, DdrCommandType::kRead);
+  EXPECT_EQ(log_.entries[1].at, start + t.tRCD);
+  EXPECT_EQ(responses_.size(), 1u);
+  EXPECT_EQ(mc_->stats().Get("mc.wake_batches") - scans, 2u);
+}
+
+// An enqueue lowers the memo to its own bank's earliest candidate and no
+// further: a second bank's ACT, held by tRRD, is scanned for exactly then.
+TEST_F(ControllerTest, EnqueueBehindTrrdScansOnlyWhenTheActIsLegal) {
+  const DramTiming& t = mc_->dram_config().timing;
+  ASSERT_LT(t.tRRD + 1, t.tRCD);  // The new ACT comes due before bank 0's RD.
+  RunFor(100);
+  const Cycle start = now_;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(1);  // ACT bank 0.
+  const uint64_t scans = mc_->stats().Get("mc.wake_batches");
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 7, 0)), now_));
+  RunFor(t.tRRD - 1);
+  EXPECT_EQ(mc_->stats().Get("mc.wake_batches"), scans) << "scanned before tRRD elapsed";
+  RunFor(1);
+  EXPECT_EQ(mc_->stats().Get("mc.wake_batches"), scans + 1);
+  const size_t act = log_.Find(DdrCommandType::kActivate, 1);
+  ASSERT_LT(act, log_.entries.size());
+  EXPECT_EQ(log_.entries[act].at, start + t.tRRD);
+}
+
+// Completions drain inside Tick, before the channel's scan: a writeback
+// the fill enqueues must still issue in that same cycle.
+TEST_F(ControllerTest, WritebackEnqueuedByACompletionIssuesThatCycle) {
+  Cycle completed = 0;
+  mc_->set_response_handler([this, &completed](const MemResponse& r) {
+    responses_.push_back(r);
+    if (r.op == MemOp::kRead) {
+      completed = r.complete_cycle;
+      ASSERT_TRUE(mc_->Enqueue(Write(At(0, 2, 9, 0), 7), r.complete_cycle));
+    }
+  });
+  RunFor(100);
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 5, 0)), now_));
+  RunFor(200);
+  ASSERT_NE(completed, 0u);
+  const size_t act = log_.Find(DdrCommandType::kActivate, 2);
+  ASSERT_LT(act, log_.entries.size());
+  EXPECT_EQ(log_.entries[act].at, completed);
+  EXPECT_EQ(responses_.size(), 2u);
+}
+
 TEST_F(ControllerTest, PerBankRefreshDrainsOnlyTheDueBank) {
   DramConfig dram = DramConfig::SimDefault();
   dram.retention.per_bank_refresh = true;

@@ -25,14 +25,10 @@ namespace {
 
 // Stats whose whole purpose is to measure the scheduling mechanism; they
 // legitimately differ between the event and legacy wake patterns (the
-// per-channel cmds_per_wake histograms count one entry per channel scan,
-// so legacy mode's every-cycle scans dwarf the event mode's).
+// cmds_per_wake histogram counts one entry per channel scan, so legacy
+// mode's every-cycle scans dwarf the event mode's).
 bool IsSchedulerTelemetry(const std::string& name) {
-  if (name == "mc.wake_batches" || name == "mc.cmds_per_wake") {
-    return true;
-  }
-  return name.rfind("mc.ch", 0) == 0 &&
-         name.size() >= 14 && name.compare(name.size() - 14, 14, ".cmds_per_wake") == 0;
+  return name == "mc.wake_batches" || name == "mc.cmds_per_wake";
 }
 
 // Nothing is exempt: a comparison whose two sides scan the same cycles.
@@ -351,6 +347,7 @@ TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
   uint64_t by_kind[4] = {0, 0, 0, 0};
   uint64_t throttled = 0;
   uint64_t draining = 0;
+  uint64_t memos = 0;
   size_t variant = 0;
   for (const uint32_t ranks : {1u, 2u}) {
     for (const bool per_bank_refresh : {false, true}) {
@@ -376,6 +373,7 @@ TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
             }
             throttled += oracle.throttled_scans();
             draining += oracle.draining_scans();
+            memos += oracle.memos_checked();
           }
         }
       }
@@ -389,6 +387,7 @@ TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
   EXPECT_GT(throttled, 0u);
   EXPECT_GT(draining, 0u);
   EXPECT_GT(scans, 0u);
+  EXPECT_GT(memos, 0u);  // Issue and enqueue memos were checked too.
 }
 
 // The oracle is not vacuous: a snapshot whose recorded gate answers
@@ -425,6 +424,43 @@ TEST(EventScheduling, SchedulerOracleFlagsDivergentPicks) {
   EXPECT_EQ(gated.pick.throttle_stalls, 1u);
   std::swap(scan.act_queries[0], scan.act_queries[1]);  // Asked out of age order.
   EXPECT_FALSE(ReferenceSchedPick(scan).queries_match);
+}
+
+// A memo claims no request issues before it; the oracle checks the claim
+// on its last cycle, so a memo past a legal ACT is reported.
+TEST(EventScheduling, SchedulerOracleFlagsMemosPastALegalCommand) {
+  const DramConfig dram = DramConfig::SimDefault();
+  SchedScan scan;
+  scan.now = 100;  // The memo's last claimed cycle.
+  scan.banks = dram.org.banks;
+  scan.timing.emplace(dram.org, dram.timing, false);
+  SchedulerOracle oracle;
+  oracle.OnMemo(scan, SchedMemoKind::kIssue);  // Empty queue: nothing to issue.
+  EXPECT_TRUE(oracle.ok()) << oracle.Report();
+  scan.queue.push_back({0, DdrCoord{0, 0, 1, 7, 0}, MemOp::kRead});
+  oracle.OnMemo(scan, SchedMemoKind::kEnqueue);
+  EXPECT_EQ(oracle.total_divergences(), 1u);
+  EXPECT_EQ(oracle.memos_checked(), 2u);
+}
+
+// Fault injection: past `break_after` scans the reference ignores the
+// drain mask, so a draining scan that rightly picks nothing diverges.
+TEST(EventScheduling, SchedulerOracleInjectionDropsTheDrainMask) {
+  const DramConfig dram = DramConfig::SimDefault();
+  SchedScan scan;
+  scan.now = 100;
+  scan.banks = dram.org.banks;
+  scan.due_slots = 1;  // Rank 0 is draining for REF.
+  scan.timing.emplace(dram.org, dram.timing, false);
+  scan.queue.push_back({0, DdrCoord{0, 0, 1, 7, 0}, MemOp::kRead});
+  const RefSchedResult ref = ReferenceSchedPick(scan);
+  ASSERT_EQ(ref.pick.kind, SchedPick::Kind::kNone);
+
+  SchedulerOracle oracle(/*max_divergences=*/16, /*break_after=*/1);
+  oracle.OnScan(scan, ref.pick);
+  EXPECT_TRUE(oracle.ok()) << oracle.Report();
+  oracle.OnScan(scan, ref.pick);
+  EXPECT_EQ(oracle.total_divergences(), 1u);
 }
 
 }  // namespace

@@ -27,6 +27,25 @@ TEST(Para, NeverThrottles) {
   EXPECT_EQ(para.ActAllowedAt(0, 0, 5, 123), 123u);
 }
 
+// The controller skips the gate, and sets scan memos ahead, only for a
+// mitigation that declares it cannot throttle; anything else keeps the
+// per-cycle rescans, so the default must be "may throttle".
+TEST(McMitigation, OnlyBlockHammerMayThrottle) {
+  const DramConfig cfg = Cfg();
+  EXPECT_FALSE(ParaMitigation(cfg.org, ParaConfig{}).MayThrottle());
+  EXPECT_FALSE(GrapheneMitigation(cfg.org, cfg.disturbance, GrapheneConfig{}).MayThrottle());
+  EXPECT_FALSE(TwiceMitigation(cfg.org, cfg.timing, cfg.disturbance, TwiceConfig{}).MayThrottle());
+  EXPECT_TRUE(BlockHammerMitigation(cfg.org, cfg.retention, cfg.disturbance, BlockHammerConfig{})
+                  .MayThrottle());
+  struct PlainGate final : McMitigation {
+    std::string name() const override { return "plain"; }
+    void OnActivate(uint32_t, uint32_t, uint32_t, Cycle,
+                    std::vector<NeighborRefreshRequest>&) override {}
+    uint64_t SramBits() const override { return 0; }
+  };
+  EXPECT_TRUE(PlainGate().MayThrottle());
+}
+
 TEST(Para, TinySramFootprint) {
   ParaMitigation para(Cfg().org, ParaConfig{});
   EXPECT_LE(para.SramBits(), 64u);

@@ -147,8 +147,7 @@ std::vector<MemRequest> DrawWindowRequests(Rng& rng, const AddressMapper& mapper
 // Wake telemetry: one entry per channel scan, so it counts the very
 // scans event-driven mode exists to skip.
 bool IsWakeTelemetry(const std::string& name) {
-  return name == "mc.wake_batches" || name == "mc.cmds_per_wake" ||
-         (name.rfind("mc.ch", 0) == 0 && name.find(".cmds_per_wake") != std::string::npos);
+  return name == "mc.wake_batches" || name == "mc.cmds_per_wake";
 }
 
 void RunEventDrivenFuzzCase(const FuzzParams& params) {

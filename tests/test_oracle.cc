@@ -207,6 +207,10 @@ TEST(SystemOracleTest, CleanOnDefendedScenario) {
   RunScenario(spec, nullptr, &hooks);
   EXPECT_TRUE(oracle.ok()) << oracle.Report();
   EXPECT_GT(commands, 1000u);
+  // The scheduler oracle rides along: every scan and every memo an issue
+  // or an enqueue set was checked against the reference.
+  EXPECT_GT(oracle.scheduler().scans_checked(), 1000u);
+  EXPECT_GT(oracle.scheduler().memos_checked(), 1000u);
 }
 
 TEST(SystemOracleTest, InjectionFiresAtSystemLevel) {

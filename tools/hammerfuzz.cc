@@ -8,10 +8,10 @@
 //    with the naive reference models;
 //  * scenario cases build a full attack/defense System from the seed and
 //    run it four ways — {skip-idle, tick-by-tick} × {serial, inside
-//    ParallelFor} — each with a SystemOracle (device commands) and a
-//    SchedulerOracle (every FR-FCFS pick, check/sched_ref.h) attached,
-//    then require all oracles clean, all ScenarioResults identical, and
-//    all CollectStats() StatSets equal;
+//    ParallelFor} — each with a SystemOracle attached (device commands,
+//    plus every FR-FCFS pick and scan memo via its SchedulerOracle,
+//    check/sched_ref.h), then require all oracles clean, all
+//    ScenarioResults identical, and all CollectStats() StatSets equal;
 //  * pattern cases build a random HammeringPattern and cross-check the
 //    builder's frame schedule and PatternHammerStream emission against
 //    the naive modular-arithmetic expander (check/pattern_ref.h).
@@ -27,7 +27,6 @@
 //   hammerfuzz --replay /tmp/fuzz/repro_latest.seed
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -37,7 +36,6 @@
 
 #include "check/generator.h"
 #include "check/oracle.h"
-#include "check/sched_ref.h"
 #include "common/argparse.h"
 #include "common/thread_pool.h"
 #include "sim/runner/runner.h"
@@ -69,7 +67,8 @@ void PrintUsage() {
       "  --corpus DIR       replay every *.seed file in DIR and exit\n"
       "  --replay FILE      replay one seed file and exit\n"
       "  --inject-at N      break the reference model after N commands\n"
-      "                     (tests that the oracle actually fires)\n"
+      "                     (scenario cases: after N scheduler scans;\n"
+      "                     tests that the oracle actually fires)\n"
       "  --verbose          one line per case\n"
       "\n"
       "Seed files hold one case per line (blank lines and # comments are\n"
@@ -80,7 +79,8 @@ void PrintUsage() {
       "where <kind> is device, scenario, or pattern; device and pattern\n"
       "cases carry steps=N, scenario cases carry cycles=N; mask holds the\n"
       "feature-disable bits pinned by shrinking; inject=N arms oracle\n"
-      "fault injection after N commands (0 = off).\n"
+      "fault injection after N commands, or N scheduler scans for scenario\n"
+      "cases (0 = off).\n"
       "\n"
       "Exit status: 0 all cases clean, 1 any failure, 2 usage error.");
 }
@@ -150,41 +150,34 @@ struct VariantOutcome {
   StatSet stats;
   bool oracle_ok = true;
   uint64_t commands = 0;
-  std::string oracle_report;
-  bool sched_ok = true;
   uint64_t sched_scans = 0;
-  std::string sched_report;
+  uint64_t sched_memos = 0;
+  std::string oracle_report;
 };
 
 VariantOutcome RunScenarioVariant(const FuzzCase& fuzz_case, bool skip_idle) {
   ScenarioSpec spec = SpecFromCase(fuzz_case);
   spec.system.skip_idle = skip_idle;
+  // Scenario cases inject into the scheduler oracle; device cases
+  // already cover the device oracle's injection.
   OracleOptions oracle_options;
-  oracle_options.break_reference_after = fuzz_case.inject_after;
+  oracle_options.break_scheduler_after = fuzz_case.inject_after;
   SystemOracle oracle(oracle_options);
-  SchedulerOracle sched_oracle;
   VariantOutcome out;
   ScenarioHooks hooks;
-  hooks.on_start = [&](System& system) {
-    oracle.Attach(system);
-    system.mc().set_sched_check_observer(&sched_oracle);
-  };
+  hooks.on_start = [&](System& system) { oracle.Attach(system); };
   hooks.on_finish = [&](System& system) {
     oracle.FinalCheck();
     out.stats = system.CollectStats();
     oracle.Detach(system);
-    system.mc().set_sched_check_observer(nullptr);
   };
   out.result = RunScenario(spec, nullptr, &hooks);
   out.oracle_ok = oracle.ok();
   out.commands = oracle.commands_observed();
+  out.sched_scans = oracle.scheduler().scans_checked();
+  out.sched_memos = oracle.scheduler().memos_checked();
   if (!out.oracle_ok) {
     out.oracle_report = oracle.Report();
-  }
-  out.sched_ok = sched_oracle.ok();
-  out.sched_scans = sched_oracle.scans_checked();
-  if (!out.sched_ok) {
-    out.sched_report = sched_oracle.Report();
   }
   return out;
 }
@@ -258,6 +251,7 @@ struct ScenarioCaseOutcome {
   bool failed = false;
   std::string report;  // Non-empty iff failed.
   uint64_t sched_scans = 0;  // Scheduler-oracle scans over all variants.
+  uint64_t sched_memos = 0;  // ... and memos.
 };
 
 ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
@@ -274,10 +268,8 @@ ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
     if (!v.oracle_ok) {
       problems << "[" << label << "] oracle divergence:\n" << v.oracle_report << "\n";
     }
-    if (!v.sched_ok) {
-      problems << "[" << label << "] scheduler divergence:\n" << v.sched_report << "\n";
-    }
     outcome.sched_scans += v.sched_scans;
+    outcome.sched_memos += v.sched_memos;
   };
   oracle_check("serial/skip-idle", serial_skip);
   oracle_check("serial/tick", serial_tick);
@@ -368,7 +360,8 @@ CaseOutcome RunCase(const FuzzCase& fuzz_case) {
     const ScenarioCaseOutcome scenario = RunScenarioCase(fuzz_case);
     outcome.failed = scenario.failed;
     outcome.report = scenario.report;
-    outcome.summary = "4-way differential, sched-scans=" + std::to_string(scenario.sched_scans);
+    outcome.summary = "4-way differential, sched-scans=" + std::to_string(scenario.sched_scans) +
+                      " sched-memos=" + std::to_string(scenario.sched_memos);
   }
   return outcome;
 }
@@ -543,7 +536,7 @@ int main(int argc, char** argv) {
       .Option("corpus", "DIR", "replay every *.seed file in DIR and exit")
       .Option("replay", "FILE", "replay one seed file and exit")
       .Option("inject-at", "N",
-              "break the reference model after N commands (tests that the oracle fires)")
+              "break the reference model after N commands (scenario: N scheduler scans)")
       .Flag("verbose", "one line per case");
   if (!parser.Parse(argc, argv)) {
     std::fprintf(stderr, "hammerfuzz: %s\n", parser.error().c_str());
@@ -554,13 +547,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   CliOptions options;
-  options.iterations = std::strtoull(parser.Get("iterations").c_str(), nullptr, 0);
-  options.seed = std::strtoull(parser.Get("seed").c_str(), nullptr, 0);
+  options.iterations = parser.GetUint("iterations");
+  options.seed = parser.GetUint("seed");
   options.mode = parser.Get("mode");
   options.out_dir = parser.Get("out");
   options.corpus_dir = parser.Get("corpus");
   options.replay_file = parser.Get("replay");
-  options.inject_at = std::strtoull(parser.Get("inject-at").c_str(), nullptr, 0);
+  options.inject_at = parser.GetUint("inject-at");
   options.verbose = parser.GetBool("verbose");
   if (options.mode != "device" && options.mode != "scenario" && options.mode != "pattern" &&
       options.mode != "both") {
