@@ -17,10 +17,11 @@ struct BankKey {
 std::map<BankKey, std::map<uint32_t, VirtAddr>> GroupRows(HostKernel& kernel, DomainId domain) {
   std::map<BankKey, std::map<uint32_t, VirtAddr>> groups;
   const AddressMapper& mapper = kernel.mc().mapper();
+  DdrCoord coords[kLinesPerPage];
   for (const auto& [va_page, frame] : kernel.space(domain).pages()) {
+    mapper.MapPage(frame, coords);
     for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const PhysAddr pa = frame * kPageBytes + l * kLineBytes;
-      const DdrCoord coord = mapper.Map(pa);
+      const DdrCoord& coord = coords[l];
       const BankKey key{coord.channel, coord.rank, coord.bank};
       groups[key].try_emplace(coord.row, va_page * kPageBytes + l * kLineBytes);
     }

@@ -2,7 +2,7 @@
 
 namespace ht {
 
-void RowDataStore::WriteLine(uint64_t row_key, uint32_t column, uint64_t value) {
+void RowDataStore::WriteLineSlow(uint64_t row_key, uint32_t column, uint64_t value) {
   std::unique_ptr<uint64_t[]>& row = rows_.at(row_key);
   if (row == nullptr) {
     row = std::make_unique<uint64_t[]>(columns_);  // Zero-filled.
@@ -34,7 +34,7 @@ uint32_t RowDataStore::FlipRandomBits(uint64_t row_key, uint32_t bits) {
   return bits;
 }
 
-uint64_t RowDataStore::CorruptionMask(uint64_t row_key, uint32_t column) const {
+uint64_t RowDataStore::CorruptionMaskSlow(uint64_t row_key, uint32_t column) const {
   auto it = corruption_.find(MaskKey(row_key, column));
   return it == corruption_.end() ? 0 : it->second;
 }

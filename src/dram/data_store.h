@@ -31,8 +31,15 @@ class RowDataStore {
       : columns_(columns), rng_(flip_seed), rows_(rows) {}
 
   // Writes the representative word for (row_key, column). Throws
-  // std::out_of_range for a row_key outside the index.
-  void WriteLine(uint64_t row_key, uint32_t column, uint64_t value);
+  // std::out_of_range for a row_key outside the index. A write to an
+  // already-populated row while no word holds corruption is one store.
+  void WriteLine(uint64_t row_key, uint32_t column, uint64_t value) {
+    if (row_key < rows_.size() && rows_[row_key] != nullptr && corruption_.empty()) {
+      rows_[row_key][column] = value;
+      return;
+    }
+    WriteLineSlow(row_key, column, value);
+  }
 
   // Reads the representative word; rows never written (or outside the
   // index) read as zero.
@@ -52,7 +59,9 @@ class RowDataStore {
   // XOR distance between the stored word and the last written (clean)
   // word — the accumulated Rowhammer corruption of that word. Writes
   // clear it. ECC decisions key off its popcount.
-  uint64_t CorruptionMask(uint64_t row_key, uint32_t column) const;
+  uint64_t CorruptionMask(uint64_t row_key, uint32_t column) const {
+    return corruption_.empty() ? 0 : CorruptionMaskSlow(row_key, column);
+  }
 
   size_t populated_rows() const { return populated_rows_; }
 
@@ -60,6 +69,8 @@ class RowDataStore {
   const uint64_t* Row(uint64_t row_key) const {
     return row_key < rows_.size() ? rows_[row_key].get() : nullptr;
   }
+  void WriteLineSlow(uint64_t row_key, uint32_t column, uint64_t value);
+  uint64_t CorruptionMaskSlow(uint64_t row_key, uint32_t column) const;
   uint64_t MaskKey(uint64_t row_key, uint32_t column) const {
     return row_key * columns_ + column;
   }

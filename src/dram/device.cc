@@ -10,6 +10,8 @@ namespace ht {
 DramDevice::DramDevice(const DramConfig& config, uint32_t channel_index)
     : config_(config),
       channel_index_(channel_index),
+      rank_rows_(static_cast<uint64_t>(config.org.banks) * config.org.rows_per_bank()),
+      bank_rows_(config.org.rows_per_bank()),
       timing_(config.org, config.timing, /*ref_neighbors_supported=*/true),
       data_(static_cast<uint64_t>(config.org.ranks) * config.org.banks * config.org.rows_per_bank(),
             config.org.columns, config.flip_seed ^ (0x9e37ULL * (channel_index + 1))),
@@ -46,11 +48,6 @@ DramDevice::DramDevice(const DramConfig& config, uint32_t channel_index)
   for (BankUnit& u : units_) {
     u.disturbance.set_probe_counter(table_probes);
   }
-}
-
-uint64_t DramDevice::RowKey(uint32_t rank, uint32_t bank, uint32_t logical_row) const {
-  return static_cast<uint64_t>(rank * config_.org.banks + bank) * config_.org.rows_per_bank() +
-         logical_row;
 }
 
 TimingVerdict DramDevice::Issue(const DdrCommand& cmd, Cycle now) {
@@ -247,17 +244,7 @@ void DramDevice::RecordFlips(uint32_t rank, uint32_t bank,
   }
 }
 
-void DramDevice::WriteLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column,
-                           uint64_t value) {
-  data_.WriteLine(RowKey(rank, bank, row), column, value);
-}
-
-uint64_t DramDevice::ReadLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column) const {
-  const uint64_t key = RowKey(rank, bank, row);
-  const uint64_t raw = data_.ReadLine(key, column);
-  if (!config_.ecc.enabled) {
-    return raw;
-  }
+uint64_t DramDevice::ApplyEcc(uint64_t key, uint32_t column, uint64_t raw) const {
   const uint64_t mask = data_.CorruptionMask(key, column);
   if (mask == 0) {
     return raw;

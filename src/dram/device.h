@@ -74,8 +74,14 @@ class DramDevice {
   // SECDED to the word: 1 corrupted bit is corrected, 2 are detected
   // (returned raw, counted as dram.ecc_detected — a machine check on real
   // hardware), 3+ escape silently.
-  void WriteLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column, uint64_t value);
-  uint64_t ReadLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column) const;
+  void WriteLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column, uint64_t value) {
+    data_.WriteLine(RowKey(rank, bank, row), column, value);
+  }
+  uint64_t ReadLine(uint32_t rank, uint32_t bank, uint32_t row, uint32_t column) const {
+    const uint64_t key = RowKey(rank, bank, row);
+    const uint64_t raw = data_.ReadLine(key, column);
+    return config_.ecc.enabled ? ApplyEcc(key, column, raw) : raw;
+  }
 
   // --- Introspection (tests, defenses with modeled assists) ---------------
   // Rows with at least one written line.
@@ -130,7 +136,12 @@ class DramDevice {
   const BankUnit& unit(uint32_t rank, uint32_t bank) const {
     return units_[rank * config_.org.banks + bank];
   }
-  uint64_t RowKey(uint32_t rank, uint32_t bank, uint32_t logical_row) const;
+  uint64_t RowKey(uint32_t rank, uint32_t bank, uint32_t logical_row) const {
+    return rank * rank_rows_ + bank * bank_rows_ + logical_row;
+  }
+  // SECDED on a read of `raw`: corrects, detects or lets escape the
+  // word's accumulated corruption, and counts which.
+  uint64_t ApplyEcc(uint64_t key, uint32_t column, uint64_t raw) const;
 
   void ApplyActivate(uint32_t rank, uint32_t bank, uint32_t logical_row, Cycle now);
   void RepairInternalRow(uint32_t rank, uint32_t bank, uint32_t internal_row, Cycle now);
@@ -143,6 +154,9 @@ class DramDevice {
 
   DramConfig config_;
   uint32_t channel_index_;
+  // RowKey strides: rows per rank and per bank.
+  uint64_t rank_rows_;
+  uint64_t bank_rows_;
   TimingChecker timing_;
   std::vector<BankUnit> units_;  // ranks * banks.
   std::vector<TrrEngine> trr_;   // One per rank.

@@ -956,6 +956,26 @@ void MemoryController::set_trace(TraceBuffer* trace) {
   }
 }
 
+void MemoryController::WritePageWords(uint64_t frame, const uint64_t* words, uint32_t first,
+                                      uint32_t end) {
+  DdrCoord coords[kLinesPerPage];
+  mapper_.MapPage(frame, coords);
+  for (uint32_t i = first; i < end; ++i) {
+    const DdrCoord& c = coords[i];
+    devices_[c.channel]->WriteLine(c.rank, c.bank, c.row, c.column, words[i]);
+  }
+}
+
+void MemoryController::ReadPageWords(uint64_t frame, uint64_t* words, uint32_t first,
+                                     uint32_t end) const {
+  DdrCoord coords[kLinesPerPage];
+  mapper_.MapPage(frame, coords);
+  for (uint32_t i = first; i < end; ++i) {
+    const DdrCoord& c = coords[i];
+    words[i] = devices_[c.channel]->ReadLine(c.rank, c.bank, c.row, c.column);
+  }
+}
+
 uint64_t MemoryController::TotalFlipEvents() const {
   uint64_t total = 0;
   for (const auto& device : devices_) {

@@ -137,6 +137,18 @@ class MemoryController {
   const DramDevice& device(uint32_t channel) const { return *devices_[channel]; }
   uint32_t channels() const { return static_cast<uint32_t>(devices_.size()); }
 
+  // Host data plane: moves the representative words of lines [first,
+  // end) of page `frame` straight to or from the devices, bypassing the
+  // queues and timing (set-up fills and verifies, uncore page moves).
+  // words[i] is line i of the page. The page is mapped once
+  // (AddressMapper::MapPage); each word then goes through the device's
+  // WriteLine/ReadLine, so ECC, its counters and corruption clearing
+  // behave exactly as per line.
+  void WritePageWords(uint64_t frame, const uint64_t* words, uint32_t first = 0,
+                      uint32_t end = kLinesPerPage);
+  void ReadPageWords(uint64_t frame, uint64_t* words, uint32_t first = 0,
+                     uint32_t end = kLinesPerPage) const;
+
   void InstallMitigation(std::unique_ptr<McMitigation> mitigation);
   McMitigation* mitigation() { return mitigation_.get(); }
 

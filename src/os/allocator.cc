@@ -110,14 +110,12 @@ GuardRowAllocator::GuardRowAllocator(const AddressMapper& mapper, uint32_t expec
 
   pools_.resize(expected_domains_);
   const uint64_t total = mapper_.total_lines() / kLinesPerPage;
+  DdrCoord coords[kLinesPerPage];
   for (uint64_t frame = 0; frame < total; ++frame) {
-    int frame_slot = -2;  // -2 = unset, -1 = wasted.
-    for (uint64_t line = frame * kLinesPerPage;
-         line < (frame + 1) * kLinesPerPage && frame_slot != -1; ++line) {
-      const int slot = slot_of_row(mapper_.MapLine(line).row);
-      if (frame_slot == -2) {
-        frame_slot = slot;
-      } else if (slot != frame_slot) {
+    mapper_.MapPage(frame, coords);
+    int frame_slot = slot_of_row(coords[0].row);  // -1 = wasted.
+    for (uint64_t l = 1; l < kLinesPerPage && frame_slot >= 0; ++l) {
+      if (coords[l].row != coords[l - 1].row && slot_of_row(coords[l].row) != frame_slot) {
         frame_slot = -1;  // Straddles a guard boundary: unusable.
       }
     }

@@ -124,39 +124,36 @@ uint64_t HostKernel::PatternValue(DomainId domain, VirtAddr va_line) {
   return x ^ (x >> 31);
 }
 
-void HostKernel::WriteLineToDram(PhysAddr pa, uint64_t value) {
-  const DdrCoord coord = mc_->mapper().Map(pa);
-  mc_->device(coord.channel).WriteLine(coord.rank, coord.bank, coord.row, coord.column, value);
-}
-
-uint64_t HostKernel::ReadLineFromDram(PhysAddr pa) const {
-  const DdrCoord coord = mc_->mapper().Map(pa);
-  return mc_->device(coord.channel).ReadLine(coord.rank, coord.bank, coord.row, coord.column);
-}
-
 template <typename Fn>
-void HostKernel::ForEachMappedLine(const Domain& d, VirtAddr base, uint64_t pages, Fn&& fn) {
-  // One page-table lookup per VA page, not per line. A page-aligned base
-  // (every AllocRegion result) makes that one lookup per region page.
-  uint64_t va_page = ~uint64_t{0};
-  std::optional<uint64_t> frame;
-  for (uint64_t i = 0; i < pages * kLinesPerPage; ++i) {
-    const VirtAddr va = base + i * kLineBytes;
-    if (va / kPageBytes != va_page) {
-      va_page = va / kPageBytes;
-      frame = d.space.FrameOf(va);
+void HostKernel::ForEachMappedPage(const Domain& d, VirtAddr base, uint64_t pages, Fn&& fn) {
+  // The region's lines are slots [first_slot, end_slot) counted in lines
+  // from the start of base's VA page; a base that is not page-aligned
+  // makes the region touch one page more, partly at each end.
+  const VirtAddr page0 = base / kPageBytes * kPageBytes;
+  const uint64_t first_slot = (base % kPageBytes) / kLineBytes;
+  const uint64_t end_slot = first_slot + pages * kLinesPerPage;
+  for (uint64_t slot = first_slot; slot < end_slot;) {
+    const uint64_t page = slot / kLinesPerPage;
+    const uint64_t next = std::min(end_slot, (page + 1) * kLinesPerPage);
+    const VirtAddr va_page = page0 + page * kPageBytes;
+    if (const std::optional<uint64_t> frame = d.space.FrameOf(va_page); frame.has_value()) {
+      fn(*frame, static_cast<uint32_t>(slot - page * kLinesPerPage),
+         static_cast<uint32_t>(next - page * kLinesPerPage), va_page + base % kLineBytes);
     }
-    if (frame.has_value()) {
-      fn(va, *frame * kPageBytes + va % kPageBytes);
-    }
+    slot = next;
   }
 }
 
 void HostKernel::FillRegion(DomainId domain, VirtAddr base, uint64_t pages) {
   if (const Domain* d = Find(domain); d != nullptr) {
-    ForEachMappedLine(*d, base, pages, [&](VirtAddr va, PhysAddr pa) {
-      WriteLineToDram(pa, PatternValue(domain, va));
-    });
+    ForEachMappedPage(*d, base, pages,
+                      [&](uint64_t frame, uint32_t first, uint32_t end, VirtAddr va) {
+                        uint64_t words[kLinesPerPage] = {};
+                        for (uint32_t i = first; i < end; ++i) {
+                          words[i] = PatternValue(domain, va + i * kLineBytes);
+                        }
+                        mc_->WritePageWords(frame, words, first, end);
+                      });
   }
   filled_regions_.push_back({domain, base, pages});
 }
@@ -165,13 +162,17 @@ VerifyResult HostKernel::VerifyRegion(DomainId domain, VirtAddr base, uint64_t p
   VerifyResult result;
   const Domain& d = At(domain);
   const bool lockup = d.spec.enclave && d.spec.integrity_checked;
-  ForEachMappedLine(d, base, pages, [&](VirtAddr va, PhysAddr pa) {
-    ++result.lines_checked;
-    if (ReadLineFromDram(pa) != PatternValue(domain, va)) {
-      ++result.corrupted_lines;
-      if (lockup) {
-        // §4.4: integrity-checked enclave corruption = system lockup.
-        ++result.dos_lockups;
+  ForEachMappedPage(d, base, pages, [&](uint64_t frame, uint32_t first, uint32_t end, VirtAddr va) {
+    uint64_t words[kLinesPerPage] = {};
+    mc_->ReadPageWords(frame, words, first, end);
+    result.lines_checked += end - first;
+    for (uint32_t i = first; i < end; ++i) {
+      if (words[i] != PatternValue(domain, va + i * kLineBytes)) {
+        ++result.corrupted_lines;
+        if (lockup) {
+          // §4.4: integrity-checked enclave corruption = system lockup.
+          ++result.dos_lockups;
+        }
       }
     }
   });
@@ -223,29 +224,27 @@ bool HostKernel::MovePage(DomainId domain, VirtAddr va_page) {
   return true;
 }
 
-bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame_value) {
+bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame) {
   AddressSpace& space = At(domain).space;
   const VirtAddr base = va_page / kPageBytes * kPageBytes;
   const auto old_frame = space.FrameOf(base);
   if (!old_frame.has_value()) {
     return false;
   }
-  const std::optional<uint64_t> new_frame = new_frame_value;
-  // Copy line by line (the proposed uncore move, §4.2). Corrupted data is
-  // copied verbatim: migration does not launder flips.
-  for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-    const PhysAddr src = *old_frame * kPageBytes + l * kLineBytes;
-    const PhysAddr dst = *new_frame * kPageBytes + l * kLineBytes;
-    WriteLineToDram(dst, ReadLineFromDram(src));
-  }
-  space.MapPage(base, *new_frame);
-  SetFrame(*new_frame, {domain, base});
+  // Copy the page's words (the proposed uncore move, §4.2). Reads go
+  // through ECC like any read, but uncorrectable data is copied verbatim:
+  // migration does not launder flips.
+  uint64_t words[kLinesPerPage] = {};
+  mc_->ReadPageWords(*old_frame, words);
+  mc_->WritePageWords(new_frame, words);
+  space.MapPage(base, new_frame);
+  SetFrame(new_frame, {domain, base});
   frames_[*old_frame] = {};
   allocator_->FreeFrame(domain, *old_frame);
   ++page_moves_;
   stats_.Add("kernel.page_moves");
   HT_TRACE(trace_, trace_clock_ != nullptr ? *trace_clock_ : 0, TraceKind::kPageMove, 0, 0, 0,
-           static_cast<uint32_t>(domain), *new_frame);
+           static_cast<uint32_t>(domain), new_frame);
   return true;
 }
 

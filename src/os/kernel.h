@@ -173,13 +173,12 @@ class HostKernel {
   }
   Domain& At(DomainId domain) const;
   void SetFrame(uint64_t frame, FrameRecord record);
-  // Calls fn(va, pa) for every mapped line of the `pages`-page region at
-  // `base`, in VA order.
+  // Calls fn(frame, first, end, va) once per mapped VA page that the
+  // `pages`-page region at `base` touches, in VA order: the region covers
+  // the page's lines [first, end), and line i of the page has VA
+  // va + i * kLineBytes. Unmapped pages are skipped.
   template <typename Fn>
-  static void ForEachMappedLine(const Domain& d, VirtAddr base, uint64_t pages, Fn&& fn);
-
-  void WriteLineToDram(PhysAddr pa, uint64_t value);
-  uint64_t ReadLineFromDram(PhysAddr pa) const;
+  static void ForEachMappedPage(const Domain& d, VirtAddr base, uint64_t pages, Fn&& fn);
 
   MemoryController* mc_;
   FrameAllocator* allocator_;

@@ -36,6 +36,21 @@ uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c) {
   return x ^ (x >> 31);
 }
 
+// Calls fn(va_page_number, frame) for each mapped page of the `pages`
+// pages at `base`, in ascending VA order. A tenant slot's domain only
+// ever gets VA-contiguous regions from its base, and page moves keep the
+// VA, so walking that range meets every page of the domain in the order
+// a sorted copy of its page table would, without making one.
+template <typename Fn>
+void ForEachPageInOrder(const AddressSpace& space, VirtAddr base, uint64_t pages, Fn&& fn) {
+  for (uint64_t p = 0; p < pages; ++p) {
+    const VirtAddr va = base + p * kPageBytes;
+    if (const std::optional<uint64_t> frame = space.FrameOf(va); frame.has_value()) {
+      fn(va / kPageBytes, *frame);
+    }
+  }
+}
+
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
@@ -177,6 +192,7 @@ bool TenantManager::CreateSlot(uint32_t slot, uint64_t generation) {
     kernel_->DestroyDomain(domain);
     entry.domain = kInvalidDomain;
     entry.base = 0;
+    entry.pages = 0;
     entry.generation = generation;
     entry.stream = nullptr;
     ++alloc_failures_;
@@ -228,6 +244,7 @@ bool TenantManager::CreateColocatedPair() {
       Slot& entry = slots_[pair[i]];
       entry.domain = kInvalidDomain;
       entry.base = 0;
+      entry.pages = 0;
       entry.generation = 0;
       entry.stream = nullptr;
       ++alloc_failures_;
@@ -245,6 +262,7 @@ void TenantManager::FinishSlot(uint32_t slot, uint64_t generation, DomainId doma
   Slot& entry = slots_[slot];
   entry.domain = domain;
   entry.base = base;
+  entry.pages = pages;
   entry.generation = generation;
   domain_slot_[domain] = slot;
 
@@ -283,14 +301,12 @@ void TenantManager::FlushSlotLines(uint32_t slot) {
   // teardown, so a reused frame never receives the dead tenant's
   // writebacks from resident lines. (In-flight fills can still deposit a
   // stale line; those land in corruption totals, never flip accounting.)
-  const AddressSpace& space = kernel_->space(entry.domain);
-  std::vector<std::pair<uint64_t, uint64_t>> pages(space.pages().begin(), space.pages().end());
-  std::sort(pages.begin(), pages.end());
-  for (const auto& [va_page, frame] : pages) {
-    for (uint64_t line = 0; line < kLinesPerPage; ++line) {
-      llc_->Flush(frame * kPageBytes + line * kLineBytes, /*privileged=*/true);
-    }
-  }
+  ForEachPageInOrder(kernel_->space(entry.domain), entry.base, entry.pages,
+                     [this](uint64_t, uint64_t frame) {
+                       for (uint64_t line = 0; line < kLinesPerPage; ++line) {
+                         llc_->Flush(frame * kPageBytes + line * kLineBytes, /*privileged=*/true);
+                       }
+                     });
 }
 
 uint64_t TenantManager::Churn(uint64_t epoch) {
@@ -425,14 +441,11 @@ uint64_t TenantManager::PageMapFingerprint() const {
       hash = FnvMix(hash, ~uint64_t{0});
       continue;
     }
-    const AddressSpace& space = kernel_->space(entry.domain);
-    std::vector<std::pair<uint64_t, uint64_t>> pages(space.pages().begin(),
-                                                     space.pages().end());
-    std::sort(pages.begin(), pages.end());
-    for (const auto& [va_page, frame] : pages) {
-      hash = FnvMix(hash, va_page);
-      hash = FnvMix(hash, frame);
-    }
+    ForEachPageInOrder(kernel_->space(entry.domain), entry.base, entry.pages,
+                       [&hash](uint64_t va_page, uint64_t frame) {
+                         hash = FnvMix(hash, va_page);
+                         hash = FnvMix(hash, frame);
+                       });
   }
   return hash;
 }

@@ -174,6 +174,7 @@ class TenantManager {
   struct Slot {
     DomainId domain = kInvalidDomain;
     VirtAddr base = 0;
+    uint64_t pages = 0;  // Pages mapped from base; the domain maps no others.
     uint64_t generation = 0;
     std::unique_ptr<InstructionStream> stream;
     uint64_t escaped_received = 0;  // Escaped flips landing in this slot.

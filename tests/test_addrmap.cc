@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <vector>
 
 namespace ht {
 namespace {
@@ -126,6 +129,151 @@ TEST(AddrMap, CapacityMatchesOrg) {
   AddressMapper mapper(org, InterleaveScheme::kCacheLine);
   EXPECT_EQ(mapper.capacity_bytes(), org.capacity_bytes());
   EXPECT_EQ(mapper.total_lines() * kLineBytes, org.capacity_bytes());
+}
+
+// A geometry grid with non-power-of-two channels, banks, columns and
+// rows_per_subarray: rows of 4-6 columns and subarrays of 3-5 rows make
+// most pages straddle a row and many straddle a subarray.
+std::vector<DramOrg> GeometryGrid() {
+  std::vector<DramOrg> grid;
+  for (uint32_t channels : {1u, 2u, 3u}) {
+    for (uint32_t ranks : {1u, 2u}) {
+      for (uint32_t banks : {2u, 3u, 8u}) {
+        for (uint32_t subarrays : {2u, 3u}) {
+          for (uint32_t rows_per_subarray : {3u, 4u, 5u}) {
+            for (uint32_t columns : {4u, 6u, 128u}) {
+              DramOrg org;
+              org.channels = channels;
+              org.ranks = ranks;
+              org.banks = banks;
+              org.subarrays_per_bank = subarrays;
+              org.rows_per_subarray = rows_per_subarray;
+              org.columns = columns;
+              grid.push_back(org);
+            }
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+constexpr InterleaveScheme kAllSchemes[] = {
+    InterleaveScheme::kBankSequential, InterleaveScheme::kCacheLine,
+    InterleaveScheme::kPermutation, InterleaveScheme::kSubarrayIsolated};
+
+TEST(AddrMapPage, MapPageEqualsPerLineMapAndRoundTrips) {
+  uint64_t pages_checked = 0;
+  uint64_t row_straddles = 0;
+  uint64_t subarray_straddles = 0;
+  for (const DramOrg& org : GeometryGrid()) {
+    for (InterleaveScheme scheme : kAllSchemes) {
+      const AddressMapper mapper(org, scheme);
+      const uint64_t frames = mapper.total_lines() / kLinesPerPage;
+      // Every page of small geometries, a spread of large ones, and
+      // always the last page.
+      const uint64_t step = std::max<uint64_t>(1, frames / 97);
+      std::vector<uint64_t> sample;
+      for (uint64_t frame = 0; frame < frames; frame += step) {
+        sample.push_back(frame);
+      }
+      if (frames > 0) {
+        sample.push_back(frames - 1);
+      }
+      for (uint64_t frame : sample) {
+        DdrCoord coords[kLinesPerPage];
+        mapper.MapPage(frame, coords);
+        for (uint64_t i = 0; i < kLinesPerPage; ++i) {
+          const uint64_t line = frame * kLinesPerPage + i;
+          ASSERT_EQ(coords[i], mapper.MapLine(line))
+              << ToString(scheme) << " ch" << org.channels << " rk" << org.ranks << " bk"
+              << org.banks << " sa" << org.subarrays_per_bank << " rps"
+              << org.rows_per_subarray << " col" << org.columns << " line " << line;
+          ASSERT_EQ(mapper.LineOf(coords[i]), line) << ToString(scheme) << " line " << line;
+        }
+        ++pages_checked;
+        const DdrCoord& first = coords[0];
+        const DdrCoord& last = coords[kLinesPerPage - 1];
+        row_straddles += first.row != last.row;
+        subarray_straddles += org.SubarrayOfRow(first.row) != org.SubarrayOfRow(last.row);
+      }
+    }
+  }
+  EXPECT_GT(pages_checked, 10000u);
+  EXPECT_GT(row_straddles, 1000u);
+  EXPECT_GT(subarray_straddles, 100u);
+}
+
+TEST(AddrMapPage, ShiftMaskMapEqualsDivisionOnPowerOfTwoConfigs) {
+  uint64_t configs = 0;
+  for (uint32_t channels : {1u, 2u, 4u}) {
+    for (uint32_t ranks : {1u, 2u}) {
+      for (uint32_t banks : {1u, 2u, 16u}) {
+        for (uint32_t subarrays : {1u, 2u, 8u}) {
+          for (uint32_t rows_per_subarray : {4u, 128u}) {
+            for (uint32_t columns : {8u, 128u}) {
+              DramOrg org;
+              org.channels = channels;
+              org.ranks = ranks;
+              org.banks = banks;
+              org.subarrays_per_bank = subarrays;
+              org.rows_per_subarray = rows_per_subarray;
+              org.columns = columns;
+              for (InterleaveScheme scheme : kAllSchemes) {
+                const AddressMapper mapper(org, scheme);
+                ASSERT_TRUE(mapper.shift_map()) << ToString(scheme);
+                ++configs;
+                // Lines past the end too: the top field keeps the high bits
+                // on both paths.
+                const uint64_t total = mapper.total_lines();
+                for (uint64_t line = 0; line < 4 * total; line += 1 + line / 64) {
+                  ASSERT_EQ(mapper.MapLine(line), mapper.MapLineByDivision(line))
+                      << ToString(scheme) << " line " << line;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 3u * 2 * 3 * 3 * 2 * 2 * 4);
+}
+
+TEST(AddrMapPage, NonPowerOfTwoRadixKeepsDivisionPath) {
+  for (const DramOrg& org : GeometryGrid()) {
+    for (InterleaveScheme scheme : kAllSchemes) {
+      const AddressMapper mapper(org, scheme);
+      if (mapper.shift_map()) {
+        // kSubarrayIsolated never divides by rows_per_subarray on its
+        // own; whatever takes the shift path must still match.
+        for (uint64_t line = 0; line < mapper.total_lines(); line += 13) {
+          ASSERT_EQ(mapper.MapLine(line), mapper.MapLineByDivision(line)) << ToString(scheme);
+        }
+      } else {
+        EXPECT_FALSE(std::has_single_bit(org.channels) && std::has_single_bit(org.ranks) &&
+                     std::has_single_bit(org.banks) && std::has_single_bit(org.columns) &&
+                     std::has_single_bit(org.rows_per_bank()))
+            << ToString(scheme);
+      }
+    }
+  }
+}
+
+TEST(AddrMapPage, ShippedConfigsTakeTheShiftPath) {
+  // The density generations share SimDefault's org; E12 narrows rows to
+  // 16 columns and hammerfuzz draws 1, 2 or 4 channels.
+  std::vector<DramOrg> orgs = {DramConfig::SimDefault().org, DramConfig::Tiny().org};
+  orgs.push_back(orgs[0]);
+  orgs.back().columns = 16;
+  orgs.push_back(orgs[0]);
+  orgs.back().channels = 4;
+  for (const DramOrg& org : orgs) {
+    for (InterleaveScheme scheme : kAllSchemes) {
+      EXPECT_TRUE(AddressMapper(org, scheme).shift_map()) << ToString(scheme);
+    }
+  }
 }
 
 TEST(AddrMap, AddrOfInvertsMap) {

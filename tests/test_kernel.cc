@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -232,6 +233,59 @@ TEST_F(KernelTest, VerifyCountsOneCorruptLineOnInnerPage) {
   const VerifyResult all = kernel_.VerifyAll();
   EXPECT_EQ(all.lines_checked, 4 * kLinesPerPage);
   EXPECT_EQ(all.corrupted_lines, 1u);
+}
+
+// What FillRegion/VerifyRegion cover, walked line by line through
+// Translate: the `pages * kLinesPerPage` lines from `base` whose VA page
+// is mapped. Checks that each such line's DRAM word holds its pattern
+// and returns how many there are.
+uint64_t CheckFilledLines(HostKernel& kernel, DomainId d, VirtAddr base, uint64_t pages) {
+  MemoryController& mc = kernel.mc();
+  uint64_t mapped = 0;
+  for (uint64_t i = 0; i < pages * kLinesPerPage; ++i) {
+    const VirtAddr va = base + i * kLineBytes;
+    const std::optional<PhysAddr> pa = kernel.Translate(d, va);
+    if (!pa.has_value()) {
+      continue;
+    }
+    ++mapped;
+    const DdrCoord c = mc.mapper().Map(*pa);
+    EXPECT_EQ(mc.device(c.channel).ReadLine(c.rank, c.bank, c.row, c.column),
+              HostKernel::PatternValue(d, va))
+        << "va " << va;
+  }
+  return mapped;
+}
+
+TEST_F(KernelTest, FillAndVerifyNonPageAlignedBase) {
+  const DomainId d = kernel_.CreateDomain({.name = "a"});
+  const VirtAddr base = *kernel_.AllocRegion(d, 4);
+  // 3 lines and 8 bytes into the first page: the 3-page region touches
+  // four pages, partly at each end.
+  const VirtAddr start = base + 3 * kLineBytes + 8;
+  kernel_.FillRegion(d, start, 3);
+  EXPECT_EQ(CheckFilledLines(kernel_, d, start, 3), 3 * kLinesPerPage);
+  const VerifyResult result = kernel_.VerifyRegion(d, start, 3);
+  EXPECT_EQ(result.lines_checked, 3 * kLinesPerPage);
+  EXPECT_EQ(result.corrupted_lines, 0u);
+
+  // Four pages from 200 bytes in run 3 lines into the unmapped fifth page.
+  kernel_.FillRegion(d, base + 200, 4);
+  EXPECT_EQ(CheckFilledLines(kernel_, d, base + 200, 4), 4 * kLinesPerPage - 3);
+  EXPECT_EQ(kernel_.VerifyRegion(d, base + 200, 4).lines_checked, 4 * kLinesPerPage - 3);
+}
+
+TEST_F(KernelTest, FillAndVerifySkipUnmappedPage) {
+  const DomainId d = kernel_.CreateDomain({.name = "a"});
+  const VirtAddr base = *kernel_.AllocRegion(d, 3);
+  kernel_.space(d).UnmapPage(base + kPageBytes);
+  kernel_.FillRegion(d, base, 3);
+  EXPECT_EQ(CheckFilledLines(kernel_, d, base, 3), 2 * kLinesPerPage);
+  const VerifyResult result = kernel_.VerifyRegion(d, base, 3);
+  EXPECT_EQ(result.lines_checked, 2 * kLinesPerPage);
+  EXPECT_EQ(result.corrupted_lines, 0u);
+  // Unaligned as well: 59 lines of page 0, none of page 1, 5 of page 2.
+  EXPECT_EQ(kernel_.VerifyRegion(d, base + 5 * kLineBytes, 2).lines_checked, 64u);
 }
 
 TEST_F(KernelTest, FrameRecordFollowsMoveAndDestroy) {

@@ -134,6 +134,33 @@ TEST(TenantChurn, RecyclesEligibleSlotsAndPinsThePair) {
   EXPECT_EQ(replaced, 3u);
 }
 
+TEST(TenantChurn, RecycledSlotsLeaveNoLineInTheCache) {
+  System system{SystemConfig{}};
+  TenantConfig config = SmallPopulation(0);
+  config.churn_rate = 1.0;
+  TenantManager manager(&system.kernel(), &system.llc(), config);
+  ASSERT_TRUE(manager.Init());
+  // A dirty LLC copy of every line every slot maps.
+  std::vector<std::vector<PhysAddr>> lines(config.slots);
+  for (uint32_t slot = 0; slot < config.slots; ++slot) {
+    for (const auto& [va_page, frame] : system.kernel().space(manager.DomainOf(slot)).pages()) {
+      for (uint64_t l = 0; l < kLinesPerPage; ++l) {
+        const PhysAddr pa = frame * kPageBytes + l * kLineBytes;
+        system.llc().Fill(pa, 1, /*dirty=*/true);
+        lines[slot].push_back(pa);
+      }
+    }
+    ASSERT_EQ(lines[slot].size(), config.pages_per_slot * kLinesPerPage);
+  }
+  EXPECT_EQ(manager.Churn(/*epoch=*/0), config.slots - 2);
+  for (uint32_t slot = 0; slot < config.slots; ++slot) {
+    const bool pinned = slot == config.attacker_slot || slot == config.victim_slot;
+    for (PhysAddr pa : lines[slot]) {
+      EXPECT_EQ(system.llc().Lookup(pa).has_value(), pinned) << "slot " << slot << " pa " << pa;
+    }
+  }
+}
+
 TEST(TenantChurn, SameSeedChurnsIdentically) {
   auto fingerprint = [](uint64_t epochs) {
     System system{SystemConfig{}};
