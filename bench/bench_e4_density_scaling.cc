@@ -83,10 +83,10 @@ void Main(unsigned threads) {
   security.SetHeader({"generation", "MAC(scaled)", "blast", "none", "trr n=4", "para",
                       "graphene", "blockhammer", "sw-refresh", "subarray-iso"});
 
-  Table cost("E4b. Defense cost across generations: extra ACTs (refresh work) / throttle stalls "
+  Table cost("E4b. Defense cost across generations: extra ACTs (refresh work) / throttled ACTs "
              "/ HW tracker SRAM (bits per device)");
   cost.SetHeader({"generation", "para extra-ACTs", "graphene extra-ACTs", "graphene SRAM",
-                  "blockhammer stall-cycles", "blockhammer SRAM", "sw-refresh extra-ACTs",
+                  "blockhammer throttled ACTs", "blockhammer SRAM", "sw-refresh extra-ACTs",
                   "sw-refresh SRAM"});
 
   size_t next = 0;

@@ -6,40 +6,12 @@
 
 namespace ht {
 
-namespace {
-
-// Replays the recorded ACT-gate answers in call order.
-class GateReplay {
- public:
-  explicit GateReplay(const SchedScan& scan) : scan_(scan) {}
-
-  Cycle AllowedAt(uint32_t rank, uint32_t bank, uint32_t row) {
-    if (next_ >= scan_.act_queries.size()) {
-      match_ = false;
-      return scan_.now;  // The controller never asked; treat as open.
-    }
-    const SchedActQuery& query = scan_.act_queries[next_++];
-    if (query.rank != rank || query.bank != bank || query.row != row) {
-      match_ = false;
-    }
-    return query.allowed;
-  }
-
-  bool AllConsumed() const { return match_ && next_ == scan_.act_queries.size(); }
-
- private:
-  const SchedScan& scan_;
-  size_t next_ = 0;
-  bool match_ = true;
-};
-
-SchedPick ThreePassScan(const SchedScan& scan, GateReplay& gate) {
+SchedPick ReferenceSchedPick(const SchedScan& scan) {
   const TimingChecker& timing = *scan.timing;
   const Cycle now = scan.now;
   const std::vector<SchedRequestView>& queue = scan.queue;
   SchedPick pick;
   Cycle block = kNeverCycle;
-  bool unstable = false;
 
   const auto draining = [&scan](const DdrCoord& coord) {
     const uint32_t slot = scan.per_bank_refresh ? coord.rank * scan.banks + coord.bank : coord.rank;
@@ -66,8 +38,8 @@ SchedPick ThreePassScan(const SchedScan& scan, GateReplay& gate) {
     block = std::min(block, timing.EarliestCycle(cmd));
   }
 
-  // Pass 2 (FCFS): oldest request to a closed bank — ACT (unless throttled).
-  // Banks already claimed by an older request cannot be stolen.
+  // Pass 2 (FCFS): oldest request to a closed bank — ACT once the gate
+  // allows it. Banks already claimed by an older request cannot be stolen.
   uint64_t claimed_banks = 0;
   for (const SchedRequestView& pending : queue) {
     const uint64_t bank_bit = 1ull << (pending.coord.rank * scan.banks + pending.coord.bank);
@@ -79,21 +51,16 @@ SchedPick ThreePassScan(const SchedScan& scan, GateReplay& gate) {
         timing.OpenRow(pending.coord.rank, pending.coord.bank).has_value()) {
       continue;
     }
-    if (scan.gated &&
-        gate.AllowedAt(pending.coord.rank, pending.coord.bank, pending.coord.row) > now) {
-      ++pick.throttle_stalls;
-      unstable = true;
-      continue;
-    }
     const DdrCommand act =
         DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
-    if (timing.Check(act, now) == TimingVerdict::kOk) {
+    if (timing.Check(act, now) == TimingVerdict::kOk && pending.act_allowed <= now) {
       pick.kind = SchedPick::Kind::kAct;
       pick.seq = pending.seq;
       pick.cmd = act;
+      pick.gate_bound = pending.act_allowed > timing.EarliestCycle(act);
       return pick;
     }
-    block = std::min(block, timing.EarliestCycle(act));
+    block = std::min(block, std::max(timing.EarliestCycle(act), pending.act_allowed));
   }
 
   // Pass 3: oldest conflicting request — PRE the bank if no older request
@@ -125,9 +92,11 @@ SchedPick ThreePassScan(const SchedScan& scan, GateReplay& gate) {
     }
     block = std::min(block, timing.EarliestCycle(pre));
   }
-  pick.next_sched = unstable ? now + 1 : std::max(block, now + 1);
+  pick.next_sched = std::max(block, now + 1);
   return pick;
 }
+
+namespace {
 
 bool SameCommand(const DdrCommand& a, const DdrCommand& b) {
   return a.type == b.type && a.rank == b.rank && a.bank == b.bank && a.row == b.row &&
@@ -146,21 +115,15 @@ std::string Describe(const SchedPick& pick) {
       out << pick.cmd.ToDebugString() << " for request #" << pick.seq;
       break;
   }
-  out << ", " << pick.throttle_stalls << " throttled";
+  if (pick.gate_bound) {
+    out << ", gate-bound";
+  }
   return out.str();
 }
 
 }  // namespace
 
-RefSchedResult ReferenceSchedPick(const SchedScan& scan) {
-  GateReplay gate(scan);
-  RefSchedResult result;
-  result.pick = ThreePassScan(scan, gate);
-  result.queries_match = gate.AllConsumed();
-  return result;
-}
-
-RefSchedResult SchedulerOracle::Reference(const SchedScan& scan) const {
+SchedPick SchedulerOracle::Reference(const SchedScan& scan) const {
   if (break_after_ == 0 || scans_checked_ <= break_after_) {
     return ReferenceSchedPick(scan);
   }
@@ -179,41 +142,37 @@ void SchedulerOracle::Diverge(std::string what) {
 void SchedulerOracle::OnScan(const SchedScan& scan, const SchedPick& pick) {
   ++scans_checked_;
   ++picks_by_kind_[static_cast<size_t>(pick.kind)];
-  if (pick.throttle_stalls != 0) {
-    ++throttled_scans_;
+  if (pick.gate_bound) {
+    ++gate_bound_picks_;
   }
   if (scan.due_slots != 0) {
     ++draining_scans_;
   }
-  const RefSchedResult ref = Reference(scan);
+  const SchedPick ref = Reference(scan);
   const bool none = pick.kind == SchedPick::Kind::kNone;
-  const bool same = ref.queries_match && ref.pick.kind == pick.kind &&
-                    ref.pick.throttle_stalls == pick.throttle_stalls &&
-                    (none ? ref.pick.next_sched == pick.next_sched
-                          : ref.pick.seq == pick.seq && SameCommand(ref.pick.cmd, pick.cmd));
+  const bool same = ref.kind == pick.kind && ref.gate_bound == pick.gate_bound &&
+                    (none ? ref.next_sched == pick.next_sched
+                          : ref.seq == pick.seq && SameCommand(ref.cmd, pick.cmd));
   if (same) {
     return;
   }
   std::ostringstream out;
   out << "[ch " << scan.channel << " @ cycle " << scan.now << ", " << scan.queue.size()
-      << " queued] picked " << Describe(pick) << "; reference " << Describe(ref.pick);
-  if (!ref.queries_match) {
-    out << "; ACT-gate queries differ";
-  }
+      << " queued] picked " << Describe(pick) << "; reference " << Describe(ref);
   Diverge(out.str());
 }
 
 void SchedulerOracle::OnMemo(const SchedScan& scan, SchedMemoKind kind) {
   ++memos_checked_;
-  const RefSchedResult ref = Reference(scan);
-  if (ref.pick.kind == SchedPick::Kind::kNone) {
+  const SchedPick ref = Reference(scan);
+  if (ref.kind == SchedPick::Kind::kNone) {
     return;
   }
   std::ostringstream out;
   out << "[ch " << scan.channel << ", " << scan.queue.size() << " queued] "
       << (kind == SchedMemoKind::kIssue ? "post-issue" : "post-enqueue") << " memo "
       << scan.now + 1 << " claims no request issues before it; reference picks "
-      << Describe(ref.pick) << " at cycle " << scan.now;
+      << Describe(ref) << " at cycle " << scan.now;
   Diverge(out.str());
 }
 

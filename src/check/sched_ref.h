@@ -4,15 +4,14 @@
 //
 //  1. (FR) the oldest queued row hit whose RD/WR is legal now;
 //  2. (FCFS) else an ACT for the oldest request of a closed bank, younger
-//     requests of that bank never taking it, subject to the mitigation's
-//     ACT gate;
+//     requests of that bank never taking it, once the mitigation's ACT
+//     gate allows it;
 //  3. else a PRE for the oldest conflicting request whose bank has no
 //     older request still wanting the open row.
 //
 // Banks (or ranks) with an overdue REF skip passes 1 and 2, not 3. The
-// gate is not called: its answers are replayed from the snapshot, and a
-// query the controller did not make (or made in another order) is a
-// divergence in its own right.
+// gate is not called: the snapshot carries its answer for every closed
+// bank's oldest request.
 #ifndef HAMMERTIME_SRC_CHECK_SCHED_REF_H_
 #define HAMMERTIME_SRC_CHECK_SCHED_REF_H_
 
@@ -24,15 +23,8 @@
 
 namespace ht {
 
-struct RefSchedResult {
-  SchedPick pick;
-  // The reference's gate queries matched the recorded ones exactly
-  // (same banks and rows, same order, none left over).
-  bool queries_match = true;
-};
-
 // O(queue^2): every pass walks the queue in age order.
-RefSchedResult ReferenceSchedPick(const SchedScan& scan);
+SchedPick ReferenceSchedPick(const SchedScan& scan);
 
 // Checks every scan of a controller against ReferenceSchedPick, and
 // every memo an issue or an enqueue sets: the reference must pick nothing
@@ -53,16 +45,17 @@ class SchedulerOracle final : public SchedulerCheckObserver {
   uint64_t scans_checked() const { return scans_checked_; }
   uint64_t memos_checked() const { return memos_checked_; }
   uint64_t total_divergences() const { return total_divergences_; }
-  // Scans by outcome, indexed by SchedPick::Kind; and scans that saw a
-  // throttled ACT or a draining refresh slot (coverage for tests).
+  // Scans by outcome, indexed by SchedPick::Kind; ACT picks the gate held
+  // past their timing earliest; and scans that saw a draining refresh
+  // slot (coverage for tests).
   const uint64_t* picks_by_kind() const { return picks_by_kind_; }
-  uint64_t throttled_scans() const { return throttled_scans_; }
+  uint64_t gate_bound_picks() const { return gate_bound_picks_; }
   uint64_t draining_scans() const { return draining_scans_; }
   std::string Report() const;
 
  private:
   // The reference's verdict, through the injected fault once it engages.
-  RefSchedResult Reference(const SchedScan& scan) const;
+  SchedPick Reference(const SchedScan& scan) const;
   void Diverge(std::string what);
 
   size_t max_divergences_;
@@ -71,7 +64,7 @@ class SchedulerOracle final : public SchedulerCheckObserver {
   uint64_t memos_checked_ = 0;
   uint64_t total_divergences_ = 0;
   uint64_t picks_by_kind_[4] = {0, 0, 0, 0};
-  uint64_t throttled_scans_ = 0;
+  uint64_t gate_bound_picks_ = 0;
   uint64_t draining_scans_ = 0;
   std::vector<std::string> divergences_;
 };

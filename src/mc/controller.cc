@@ -121,7 +121,7 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   }
   channel.pending_banks |= 1ull << bank_slot;
   ++channel.queued;
-  if (config_.event_driven && !gate_may_throttle_) {
+  if (config_.event_driven) {
     // Only this bank's candidates changed, so the earliest cycle anything
     // could issue is the old memo or this bank's earliest candidate. No
     // clamp to now + 1: DrainCompletions enqueues writebacks inside Tick,
@@ -482,6 +482,9 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
         c_row_misses_->Increment();
         pending.counted = true;
       }
+      if (pick.gate_bound) {
+        c_throttle_stalls_->Increment();
+      }
       act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
                                                pending.request.is_dma, now);
       NotifyMitigationActivate(pending.coord, now);
@@ -496,16 +499,16 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       break;
   }
   // Post-issue memo. When the picked command was the scan's only legal
-  // candidate, every other candidate was blocked at its EarliestCycle,
+  // candidate, every other candidate was blocked until its earliest cycle,
   // and the issue can only raise those: deadlines only rise, the rank and
-  // channel terms (tRRD, tFAW, tCCD, bus turnaround) only push later, and
-  // only the picked bank's candidate set changed. So nothing can issue
-  // before the blocked minimum or that one bank's new earliest. A gate
-  // that may throttle, an enqueue during the issue (a posted write's
-  // response can enqueue a writeback) or a draining slot leaves the next
-  // cycle to a rescan.
+  // channel terms (tRRD, tFAW, tCCD, bus turnaround) only push later, ACT
+  // gate answers only rise until the epoch resets the memo, and only the
+  // picked bank's candidate set changed. So nothing can issue before the
+  // blocked minimum or that one bank's new earliest. An
+  // enqueue during the issue (a posted write's response can enqueue a
+  // writeback) or a draining slot leaves the next cycle to a rescan.
   retry = 0;
-  if (config_.event_driven && !gate_may_throttle_ && tally.legal == 1 && !tally.draining &&
+  if (config_.event_driven && tally.legal == 1 && !tally.draining &&
       channel.next_seq == seq_before) {
     retry = std::min(tally.blocked,
                      BankEarliest(channel_index, channel.banks[coord.rank * dram_config_.org.banks +
@@ -539,11 +542,8 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
   const TimingChecker& timing = devices_[channel_index]->timing();
   const uint32_t banks = dram_config_.org.banks;
   SchedPick pick;
-  // Earliest cycle any candidate blocked purely by timing becomes legal.
+  // Earliest cycle any blocked candidate becomes legal.
   Cycle block = kNeverCycle;
-  // A throttled candidate was seen: ActAllowedAt counts throttle events
-  // per scanned cycle, so the scan must rerun every cycle to stay exact.
-  bool unstable = false;
 
   // Banks with an overdue REF on their rank (or, with REFsb, on the bank
   // itself) are draining: starting new row activity there would starve
@@ -576,9 +576,9 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
   //    ignores the column (and auto-precharge), so one verdict per
   //    (bank, RD|WR) covers every such hit, and only the oldest can win.
   //  * Pass 2 (FCFS) wants an ACT for a closed bank's oldest request; a
-  //    bank's younger requests never claim it. Without a gate that may
-  //    throttle, the walk keeps the oldest legal one; otherwise the gate
-  //    must be asked in age order, so closed banks are sorted first.
+  //    bank's younger requests never claim it. The candidate's cycle is
+  //    the ACT gate's answer asked at its timing earliest (GatedAct), and
+  //    the walk keeps the oldest legal one.
   //  * Pass 3 wants a PRE for a bank whose oldest request conflicts with
   //    its open row. A younger conflict never precharges under an older
   //    hit, so only the oldest request can be the one a PRE serves.
@@ -586,10 +586,7 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
   uint32_t hit_slot = kNoSlot;
   uint32_t act_slot = kNoSlot;
   uint32_t pre_slot = kNoSlot;
-  // Closed-bank candidates for a gate that may throttle, packed as
-  // (oldest seq << 6) | bank, so sorting them orders by age.
-  std::array<uint64_t, 64> closed;
-  size_t closed_count = 0;
+  bool act_gate_bound = false;  // The gate held act_slot past its timing earliest.
   const auto older = [&channel](uint32_t slot, uint32_t than) {
     return than == kNoSlot || channel.slots[slot].seq < channel.slots[than].seq;
   };
@@ -611,10 +608,11 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
       if (drains) {
         continue;
       }
-      if (gate_may_throttle_) {
-        closed[closed_count++] = (channel.slots[bank.head].seq << 6) | b;
-      } else if (legal(timing.ActEarliest(bank.rank, bank.bank)) && older(bank.head, act_slot)) {
+      const Cycle timing_at = timing.ActEarliest(bank.rank, bank.bank);
+      const Cycle at = GatedAct(bank, channel.slots[bank.head].coord.row, timing_at);
+      if (legal(at) && older(bank.head, act_slot)) {
         act_slot = bank.head;
+        act_gate_bound = at > timing_at;
       }
       continue;
     }
@@ -647,35 +645,12 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
     return pick;
   }
 
-  // Pass 2 with a gate that may throttle offers closed banks in age order
-  // of their oldest request and stops at the first legal ACT, because the
-  // gate counts every throttled query.
-  std::sort(closed.begin(), closed.begin() + static_cast<ptrdiff_t>(closed_count));
-  for (size_t i = 0; i < closed_count; ++i) {
-    const uint32_t slot = channel.banks[closed[i] & 63].head;
-    const PendingRequest& pending = channel.slots[slot];
-    const Cycle allowed = mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank,
-                                                    pending.coord.row, now);
-    if (sched_check_ != nullptr) [[unlikely]] {
-      sched_scan_.act_queries.push_back(
-          {pending.coord.rank, pending.coord.bank, pending.coord.row, allowed});
-    }
-    if (allowed > now) {
-      c_throttle_stalls_->Increment();
-      ++pick.throttle_stalls;
-      unstable = true;
-      continue;
-    }
-    if (legal(timing.ActEarliest(pending.coord.rank, pending.coord.bank))) {
-      act_slot = slot;
-      break;
-    }
-  }
   if (act_slot != kNoSlot) {
     const PendingRequest& pending = channel.slots[act_slot];
     pick.kind = SchedPick::Kind::kAct;
     pick.seq = pending.seq;
     pick.cmd = DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
+    pick.gate_bound = act_gate_bound;
     tally.slot = act_slot;
     tally.blocked = block;
     return pick;
@@ -693,8 +668,8 @@ SchedPick MemoryController::PickRequestCommand(uint32_t channel_index, Cycle now
   // Nothing issues. Candidates filtered for non-timing reasons (draining
   // banks, a bank's younger requests, an older hit pinning an open row)
   // can only unblock via a state change, which resets or lowers
-  // next_sched; timing-blocked candidates unblock at `block`.
-  pick.next_sched = unstable ? now + 1 : std::max(block, now + 1);
+  // next_sched; blocked candidates unblock at `block`.
+  pick.next_sched = std::max(block, now + 1);
   return pick;
 }
 
@@ -706,7 +681,8 @@ Cycle MemoryController::BankEarliest(uint32_t channel_index, BankQueue& bank) {
   const TimingChecker& timing = devices_[channel_index]->timing();
   const auto open_row = timing.OpenRow(bank.rank, bank.bank);
   if (!open_row.has_value()) {
-    return timing.ActEarliest(bank.rank, bank.bank);
+    return GatedAct(bank, channel.slots[bank.head].coord.row,
+                    timing.ActEarliest(bank.rank, bank.bank));
   }
   RefreshBankSummary(channel, bank, *open_row);
   Cycle earliest = kNeverCycle;
@@ -723,8 +699,15 @@ Cycle MemoryController::BankEarliest(uint32_t channel_index, BankQueue& bank) {
   return earliest;
 }
 
+Cycle MemoryController::GatedAct(const BankQueue& bank, uint32_t row, Cycle timing_earliest) {
+  return mitigation_ != nullptr
+             ? mitigation_->ActAllowedAt(bank.rank, bank.bank, row, timing_earliest)
+             : timing_earliest;
+}
+
 void MemoryController::SnapshotScan(uint32_t channel_index, Cycle now) {
   const ChannelState& channel = channels_[channel_index];
+  const TimingChecker& timing = devices_[channel_index]->timing();
   SchedScan& scan = sched_scan_;
   scan.channel = channel_index;
   scan.now = now;
@@ -737,19 +720,25 @@ void MemoryController::SnapshotScan(uint32_t channel_index, Cycle now) {
       scan.due_slots |= 1ull << slot;
     }
   }
-  scan.gated = gate_may_throttle_;
   scan.queue.clear();
   for (uint64_t mask = channel.pending_banks; mask != 0; mask &= mask - 1) {
     const BankQueue& bank = channel.banks[static_cast<size_t>(__builtin_ctzll(mask))];
+    const size_t oldest = scan.queue.size();
     for (uint32_t slot = bank.head; slot != kNoSlot; slot = channel.slots[slot].next) {
       const PendingRequest& pending = channel.slots[slot];
       scan.queue.push_back({pending.seq, pending.coord, pending.request.op});
     }
+    // A closed bank's oldest request carries the gate's answer. The gate
+    // is a pure function of the mitigation's state, so asking it here as
+    // well as in the scan changes nothing.
+    if (!timing.OpenRow(bank.rank, bank.bank).has_value()) {
+      SchedRequestView& view = scan.queue[oldest];
+      view.act_allowed = GatedAct(bank, view.coord.row, timing.ActEarliest(bank.rank, bank.bank));
+    }
   }
   std::sort(scan.queue.begin(), scan.queue.end(),
             [](const SchedRequestView& a, const SchedRequestView& b) { return a.seq < b.seq; });
-  scan.timing = devices_[channel_index]->timing();
-  scan.act_queries.clear();
+  scan.timing = timing;
 }
 
 void MemoryController::CheckMemo(uint32_t channel_index, Cycle from, SchedMemoKind kind) {
@@ -943,7 +932,6 @@ size_t MemoryController::QueuedRequests() const {
 
 void MemoryController::InstallMitigation(std::unique_ptr<McMitigation> mitigation) {
   mitigation_ = std::move(mitigation);
-  gate_may_throttle_ = mitigation_ != nullptr && mitigation_->MayThrottle();
 }
 
 void MemoryController::set_trace(TraceBuffer* trace) {

@@ -236,12 +236,11 @@ class MemoryController {
     std::priority_queue<InFlightRead, std::vector<InFlightRead>, std::greater<>> in_flight;
     // Scheduler memo: TryRequests provably cannot issue before this cycle
     // unless channel state changes first. A failed scan sets it to its
-    // blocked candidates' earliest cycle. In event-driven mode with a gate
-    // that cannot throttle, an issuing scan sets it too (see TickChannel)
-    // and an enqueue lowers it to the new request's bank; otherwise every
-    // event that could change a scan's outcome (enqueue, any DDR command
-    // issued on the channel, mitigation epoch) resets it to 0, forcing a
-    // fresh scan.
+    // blocked candidates' earliest cycle. In event-driven mode an issuing
+    // scan sets it too (see TickChannel) and an enqueue lowers it to the
+    // new request's bank; otherwise every event that could change a
+    // scan's outcome (enqueue, any DDR command issued on the channel,
+    // mitigation epoch) resets it to 0, forcing a fresh scan.
     Cycle next_sched = 0;
     // Whole-channel memo: no scheduling stage (refresh manager, internal
     // ops, requests) can issue strictly before this cycle unless channel
@@ -265,17 +264,18 @@ class MemoryController {
   // What a scan saw besides its pick.
   struct ScanTally {
     uint32_t slot = kNoSlot;      // The picked request.
-    uint32_t legal = 0;           // Candidates legal at `now`; exact unless
-                                  // the gate may throttle.
-    Cycle blocked = kNeverCycle;  // Min EarliestCycle over blocked candidates.
+    uint32_t legal = 0;           // Candidates legal at `now`.
+    Cycle blocked = kNeverCycle;  // Earliest cycle a blocked candidate turns legal.
     bool draining = false;        // A refresh slot was due.
   };
-  // FR-FCFS selection over the per-bank lists. Issues nothing itself but
-  // does query (and count) the mitigation's ACT gate when it may throttle.
+  // FR-FCFS selection over the per-bank lists. Issues nothing itself.
   SchedPick PickRequestCommand(uint32_t channel, Cycle now, ScanTally& tally);
-  // Earliest cycle any of `bank`'s scan candidates becomes timing-legal
+  // Earliest cycle any of `bank`'s scan candidates becomes legal
   // (kNeverCycle for an empty bank), draining ignored. Rekeys its summary.
   Cycle BankEarliest(uint32_t channel, BankQueue& bank);
+  // Earliest cycle an ACT of `row` in closed `bank` may issue: the
+  // mitigation's gate answer asked at the bank's timing earliest.
+  Cycle GatedAct(const BankQueue& bank, uint32_t row, Cycle timing_earliest);
   // Rekeys a bank's row-hit summary to `open_row` if it is keyed to
   // another row.
   void RefreshBankSummary(ChannelState& channel, BankQueue& bank, uint32_t open_row);
@@ -299,7 +299,6 @@ class MemoryController {
   std::vector<std::unique_ptr<ActCounter>> act_counters_;
   std::vector<ChannelState> channels_;
   std::unique_ptr<McMitigation> mitigation_;
-  bool gate_may_throttle_ = false;  // mitigation_ && mitigation_->MayThrottle().
   std::unordered_map<DomainId, uint32_t> domain_groups_;
   MemResponseCallback response_handler_;
   Cycle next_epoch_ = 0;
@@ -319,7 +318,7 @@ class MemoryController {
   Counter* c_row_hits_;
   Counter* c_row_misses_;
   Counter* c_row_conflicts_;
-  Counter* c_throttle_stalls_;
+  Counter* c_throttle_stalls_;   // Gate-bound ACTs (SchedPick::gate_bound).
   Counter* c_reads_done_;
   Counter* c_writes_done_;
   Counter* c_refs_issued_;

@@ -213,7 +213,7 @@ void BlockHammerMitigation::OnActivate(uint32_t rank, uint32_t bank, uint32_t ro
 }
 
 Cycle BlockHammerMitigation::ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) {
-  BankFilter& filter = filters_[static_cast<size_t>(rank) * org_.banks + bank];
+  const BankFilter& filter = filters_[static_cast<size_t>(rank) * org_.banks + bank];
   if (MinCount(filter, row) < blacklist_threshold_) {
     return now;
   }
@@ -222,12 +222,7 @@ Cycle BlockHammerMitigation::ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t
   for (uint32_t h = 0; h < config_.hashes; ++h) {
     last = std::max(last, filter.last_act[HashSlot(row, h)]);
   }
-  const Cycle allowed = last + throttle_delay_;
-  if (allowed > now) {
-    ++throttled_;
-    return allowed;
-  }
-  return now;
+  return std::max(now, last + throttle_delay_);
 }
 
 void BlockHammerMitigation::OnEpoch(Cycle now) {

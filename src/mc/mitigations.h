@@ -51,22 +51,18 @@ class McMitigation {
   virtual void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                           std::vector<NeighborRefreshRequest>& out) = 0;
 
-  // Scheduling gate: the earliest cycle an ACT of `row` may issue.
-  // Returning `now` means unthrottled. Only BlockHammer throttles.
+  // Scheduling gate: the earliest cycle >= `now` at which an ACT of `row`
+  // may issue; `now` means unthrottled. Only BlockHammer throttles. The
+  // answer must be a pure function of the mitigation's state, and that
+  // state may only raise answers between OnEpoch calls (an ACT on any
+  // bank, of any channel, never lowers one): the controller folds answers
+  // into the cycles it next scans at, and resets them only at the epoch.
   virtual Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) {
     (void)rank;
     (void)bank;
     (void)row;
     return now;
   }
-
-  // Whether ActAllowedAt can ever answer later than `now`. The controller
-  // never asks a gate that declares it cannot, and only then lets an
-  // issuing scan or an enqueue set the next scan cycle in advance; a gate
-  // that can throttle keeps the per-cycle rescans whose queries (and
-  // throttle counts) it may rely on. Overrides must be exact: "cannot"
-  // on a gate that throttles makes the controller skip its answers.
-  virtual bool MayThrottle() const { return true; }
 
   // Called at each refresh-window epoch boundary so windowed state resets.
   virtual void OnEpoch(Cycle now) { (void)now; }
@@ -92,7 +88,6 @@ class ParaMitigation : public McMitigation {
       : org_(org), config_(config), rng_(config.seed) {}
 
   std::string name() const override { return "para"; }
-  bool MayThrottle() const override { return false; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   uint64_t SramBits() const override { return 64; }  // Just an RNG/LFSR.
@@ -117,7 +112,6 @@ class GrapheneMitigation : public McMitigation {
                      const GrapheneConfig& config);
 
   std::string name() const override { return "graphene"; }
-  bool MayThrottle() const override { return false; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   void OnEpoch(Cycle now) override;
@@ -160,7 +154,6 @@ class TwiceMitigation : public McMitigation {
                   const DisturbanceParams& disturbance, const TwiceConfig& config);
 
   std::string name() const override { return "twice"; }
-  bool MayThrottle() const override { return false; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   void OnEpoch(Cycle now) override;
@@ -215,7 +208,6 @@ class BlockHammerMitigation : public McMitigation {
   Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) override;
   void OnEpoch(Cycle now) override;
   uint64_t SramBits() const override;
-  uint64_t throttled_acts() const { return throttled_; }
 
  private:
   struct BankFilter {
@@ -234,7 +226,6 @@ class BlockHammerMitigation : public McMitigation {
   Cycle throttle_delay_;
   std::vector<BankFilter> filters_;  // ranks * banks.
   uint64_t hash_seeds_[8];
-  uint64_t throttled_ = 0;
 };
 
 }  // namespace ht

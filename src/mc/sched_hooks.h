@@ -24,14 +24,11 @@ struct SchedRequestView {
   uint64_t seq = 0;  // Enqueue order within the channel.
   DdrCoord coord;
   MemOp op = MemOp::kRead;
-};
-
-// One McMitigation::ActAllowedAt call the scan made, with its answer.
-struct SchedActQuery {
-  uint32_t rank = 0;
-  uint32_t bank = 0;
-  uint32_t row = 0;
-  Cycle allowed = 0;
+  // For a closed bank's oldest request, the mitigation's ACT-gate answer
+  // for its row, asked at the bank's timing-earliest ACT cycle (that
+  // cycle itself without a mitigation): its ACT may not issue before
+  // this cycle. 0 for every other request.
+  Cycle act_allowed = 0;
 };
 
 // Everything a request scan reads, captured before it runs.
@@ -42,12 +39,8 @@ struct SchedScan {
   bool per_bank_refresh = false;
   uint32_t banks = 0;           // Banks per rank.
   uint64_t due_slots = 0;       // Bit per refresh slot (rank, or rank*banks+bank) due at `now`.
-  bool gated = false;           // A mitigation answers ActAllowedAt.
   std::vector<SchedRequestView> queue;  // Age order, oldest first.
   std::optional<TimingChecker> timing;  // Device timing and open rows.
-  // The gate's answers, in call order. Filled during the scan, so a
-  // reference replays them instead of calling the mitigation twice.
-  std::vector<SchedActQuery> act_queries;
 };
 
 // A scan's outcome.
@@ -57,7 +50,7 @@ struct SchedPick {
   uint64_t seq = 0;             // Request the command serves or is attributed to.
   DdrCommand cmd;               // Valid unless kNone.
   Cycle next_sched = 0;         // kNone only: the scan memo it records.
-  uint64_t throttle_stalls = 0; // Gate answers later than `now`.
+  bool gate_bound = false;      // kAct only: the ACT gate held it past its timing earliest.
 };
 
 // What set a scan memo without a failed scan.

@@ -59,7 +59,7 @@ struct ScenarioResult {
   PerfSummary perf;
   uint64_t defense_interrupts = 0;
   uint64_t page_moves = 0;
-  uint64_t throttle_stalls = 0;
+  uint64_t throttle_stalls = 0;  // ACTs the mitigation gate held past their timing earliest.
   uint64_t mitigation_refreshes = 0;
   bool attack_planned = true;  // False if isolation denied the attacker a plan.
   // --- Cloud mode (zero on the classic path) --------------------------------

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "dram/check_hooks.h"
 
 namespace ht {
@@ -458,26 +460,17 @@ TEST_F(ControllerTest, DrainingRankSkipsActAndReadButTakesPrecharge) {
   EXPECT_EQ(responses_.size(), 4u);
 }
 
-// Throttles ACTs of one row until a fixed cycle and records every query.
+// Holds ACTs of one row until a fixed cycle: a pure deadline gate.
 class RowThrottle final : public McMitigation {
  public:
-  struct Query {
-    uint32_t bank = 0;
-    uint32_t row = 0;
-    Cycle at = 0;
-  };
-
   RowThrottle(uint32_t row, Cycle until) : row_(row), until_(until) {}
   std::string name() const override { return "row-throttle"; }
   void OnActivate(uint32_t, uint32_t, uint32_t, Cycle,
                   std::vector<NeighborRefreshRequest>&) override {}
-  Cycle ActAllowedAt(uint32_t, uint32_t bank, uint32_t row, Cycle now) override {
-    queries.push_back({bank, row, now});
-    return row == row_ && now < until_ ? until_ : now;
+  Cycle ActAllowedAt(uint32_t, uint32_t, uint32_t row, Cycle now) override {
+    return row == row_ ? std::max(now, until_) : now;
   }
   uint64_t SramBits() const override { return 0; }
-
-  std::vector<Query> queries;
 
  private:
   uint32_t row_;
@@ -486,47 +479,25 @@ class RowThrottle final : public McMitigation {
 
 TEST_F(ControllerTest, YoungerSameBankRequestCannotTakeTheAct) {
   constexpr Cycle kRelease = 300;
-  auto throttle = std::make_unique<RowThrottle>(1, kRelease);
-  RowThrottle* raw = throttle.get();
-  mc_->InstallMitigation(std::move(throttle));
-  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 1, 0)), now_));  // Older, throttled.
+  ASSERT_GT(mc_->dram_config().RefPeriod(), kRelease + 400);  // No REF in the way.
+  mc_->InstallMitigation(std::make_unique<RowThrottle>(1, kRelease));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 1, 0)), now_));  // Older, held by the gate.
   ASSERT_TRUE(mc_->Enqueue(Read(At(0, 0, 2, 0)), now_));  // Younger, free.
-  RunFor(kRelease + 400);
+  RunFor(kRelease);
+  EXPECT_TRUE(log_.entries.empty());
+  // The held ACT's gate cycle is the scan memo: one scan, not one per cycle.
+  EXPECT_EQ(mc_->stats().Get("mc.wake_batches"), 1u);
+  RunFor(400);
   const size_t act = log_.Find(DdrCommandType::kActivate, 0);
   ASSERT_LT(act, log_.entries.size());
   EXPECT_EQ(log_.entries[act].cmd.row, 1u);
   EXPECT_EQ(log_.entries[act].at, kRelease);
-  // Only the bank's oldest request is ever offered to the gate.
-  ASSERT_FALSE(raw->queries.empty());
-  for (const RowThrottle::Query& query : raw->queries) {
-    if (query.at <= kRelease) {
-      EXPECT_EQ(query.row, 1u) << "at " << query.at;
-    }
-  }
-  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), kRelease);
+  // Row 1's ACT waited for the gate; row 2's, after it, waited for timing.
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 1u);
   EXPECT_EQ(responses_.size(), 2u);
 }
 
-// BlockHammer with every gate query recorded in call order.
-class RecordingBlockHammer final : public BlockHammerMitigation {
- public:
-  using BlockHammerMitigation::BlockHammerMitigation;
-  Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) override {
-    const Cycle allowed = BlockHammerMitigation::ActAllowedAt(rank, bank, row, now);
-    queries.push_back({bank, row, now, allowed});
-    return allowed;
-  }
-
-  struct Query {
-    uint32_t bank = 0;
-    uint32_t row = 0;
-    Cycle at = 0;
-    Cycle allowed = 0;
-  };
-  std::vector<Query> queries;
-};
-
-TEST_F(ControllerTest, BlockHammerThrottledBanksAreQueriedInAgeOrder) {
+TEST_F(ControllerTest, BlockHammerHoldsEachActUntilItsGateCycle) {
   const DramConfig dram = DramConfig::SimDefault();
   McConfig mc_config;
   mc_config.open_page = false;  // Every access closes its bank again.
@@ -534,45 +505,170 @@ TEST_F(ControllerTest, BlockHammerThrottledBanksAreQueriedInAgeOrder) {
   BlockHammerConfig bh;
   bh.blacklist_threshold = 1;  // One ACT blacklists a row.
   bh.throttle_delay = 1000;
-  auto mitigation = std::make_unique<RecordingBlockHammer>(dram.org, dram.retention,
-                                                           dram.disturbance, bh);
-  RecordingBlockHammer* raw = mitigation.get();
+  auto mitigation =
+      std::make_unique<BlockHammerMitigation>(dram.org, dram.retention, dram.disturbance, bh);
+  BlockHammerMitigation* gate = mitigation.get();
   mc_->InstallMitigation(std::move(mitigation));
 
-  // Activate one row in each of banks 3, 1 and 2.
-  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3, 10, 0)), now_));
-  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 11, 0)), now_));
-  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 2, 12, 0)), now_));
-  RunFor(200);
+  // Activate one row in each of banks 3, 1 and 2, far enough apart that
+  // no timing constraint is still pending when the gate releases the next.
+  for (const auto& [bank, row] : {std::pair{3u, 10u}, {1u, 11u}, {2u, 12u}}) {
+    ASSERT_TRUE(mc_->Enqueue(Read(At(0, bank, row, 0)), now_));
+    RunFor(100);
+  }
   ASSERT_EQ(responses_.size(), 3u);
-  const uint64_t stalls_before = mc_->stats().Get("mc.throttle_stalls");
-  const size_t first_query = raw->queries.size();
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 0u);
 
-  // Revisit them; bank 3 also queues a younger request to another row.
+  // Revisit them; bank 3 also queues a younger request to a free row.
   ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3, 10, 1)), now_));
   ASSERT_TRUE(mc_->Enqueue(Read(At(0, 1, 11, 1)), now_));
   ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3, 13, 0)), now_));
   ASSERT_TRUE(mc_->Enqueue(Read(At(0, 2, 12, 1)), now_));
-  const Cycle revisit = now_;
-  RunFor(50);
+  const size_t revisit = log_.entries.size();
+  const uint64_t scans = mc_->stats().Get("mc.wake_batches");
+  // The gate is pure, so asking it now yields the cycles the ACTs wait for.
+  struct Held {
+    uint32_t bank = 0;
+    uint32_t row = 0;
+    Cycle release = 0;
+  };
+  std::vector<Held> held;
+  for (const auto& [bank, row] : {std::pair{3u, 10u}, {1u, 11u}, {2u, 12u}}) {
+    held.push_back({bank, row, gate->ActAllowedAt(0, bank, row, now_)});
+    EXPECT_GT(held.back().release, now_ + 500) << "bank " << bank;
+  }
+  const Cycle first = std::min({held[0].release, held[1].release, held[2].release});
+  ASSERT_GT(mc_->dram_config().RefPeriod(), first + 1000);  // No REF in the way.
+  RunFor(first - now_);
+  EXPECT_EQ(log_.entries.size(), revisit);
+  EXPECT_LE(mc_->stats().Get("mc.wake_batches") - scans, 1u) << "rescanned while held";
 
-  // Every throttled scan asks bank 3 (row 10), then bank 1, then bank 2.
-  const std::vector<std::pair<uint32_t, uint32_t>> order = {{3, 10}, {1, 11}, {2, 12}};
-  uint64_t throttled = 0;
-  for (size_t i = first_query; i < raw->queries.size(); ++i) {
-    const RecordingBlockHammer::Query& query = raw->queries[i];
-    const auto& expected = order[(i - first_query) % order.size()];
-    EXPECT_EQ(query.bank, expected.first) << "query " << i - first_query;
-    EXPECT_EQ(query.row, expected.second) << "query " << i - first_query;
-    EXPECT_EQ(query.at, revisit + (i - first_query) / order.size());
-    if (query.allowed > query.at) {
-      ++throttled;
+  RunFor(1000);
+  ASSERT_EQ(responses_.size(), 7u);
+  for (const Held& h : held) {
+    // The bank's oldest request takes the ACT, exactly at its gate cycle;
+    // bank 3's younger row 13 never overtakes row 10.
+    const size_t act = log_.Find(DdrCommandType::kActivate, h.bank, revisit);
+    ASSERT_LT(act, log_.entries.size()) << "bank " << h.bank;
+    EXPECT_EQ(log_.entries[act].cmd.row, h.row) << "bank " << h.bank;
+    EXPECT_EQ(log_.entries[act].at, h.release) << "bank " << h.bank;
+  }
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), held.size());
+}
+
+// Forwards exactly the overrides a timing wrapper around a mitigation
+// makes, so the controller must treat it like the mitigation it wraps.
+class ForwardingGate final : public McMitigation {
+ public:
+  explicit ForwardingGate(std::unique_ptr<McMitigation> inner) : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
+                  std::vector<NeighborRefreshRequest>& out) override {
+    inner_->OnActivate(rank, bank, row, now, out);
+  }
+  Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) override {
+    return inner_->ActAllowedAt(rank, bank, row, now);
+  }
+  void OnEpoch(Cycle now) override { inner_->OnEpoch(now); }
+  uint64_t SramBits() const override { return inner_->SramBits(); }
+  uint64_t TableProbes() const override { return inner_->TableProbes(); }
+
+ private:
+  std::unique_ptr<McMitigation> inner_;
+};
+
+std::unique_ptr<McMitigation> TestPara(const DramConfig& dram) {
+  ParaConfig para;
+  para.refresh_probability = 0.1;  // Neighbour refreshes preempt requests.
+  return std::make_unique<ParaMitigation>(dram.org, para);
+}
+
+std::unique_ptr<McMitigation> TestBlockHammer(const DramConfig& dram, uint32_t threshold) {
+  BlockHammerConfig bh;
+  bh.blacklist_threshold = threshold;
+  bh.throttle_delay = 500;
+  return std::make_unique<BlockHammerMitigation>(dram.org, dram.retention, dram.disturbance, bh);
+}
+
+// Commands and stats of one run of skewed traffic under `mitigation`.
+struct TrafficOutcome {
+  std::vector<CommandLog::Entry> log;
+  StatSet stats;
+};
+
+class GateTrafficTest : public ControllerTest {
+ protected:
+  // Keeps 16 requests queued for 30000 cycles, inside one refresh window
+  // (an epoch rescans every channel once a mitigation is installed).
+  // Most requests go to two banks and four rows per bank, so hits,
+  // conflicts, closed-bank ACTs and throttles are all common.
+  TrafficOutcome RunTraffic(std::unique_ptr<McMitigation> mitigation) {
+    constexpr Cycle kCycles = 30000;
+    const DramConfig dram = DramConfig::SimDefault();
+    EXPECT_GT(dram.retention.refresh_window, kCycles);
+    Rebuild(dram, McConfig{});
+    now_ = 0;
+    if (mitigation != nullptr) {
+      mc_->InstallMitigation(std::move(mitigation));
+    }
+    Rng rng(7);
+    const uint32_t banks = dram.org.ranks * dram.org.banks;
+    for (; now_ < kCycles; ++now_) {
+      while (mc_->QueuedRequests() < 16) {
+        const uint32_t b = rng.NextBool(0.6) ? static_cast<uint32_t>(rng.NextBelow(2)) * (banks - 1)
+                                             : static_cast<uint32_t>(rng.NextBelow(banks));
+        const uint32_t row = 100 + static_cast<uint32_t>(rng.NextBelow(4)) * 3;
+        const uint32_t column = static_cast<uint32_t>(rng.NextBelow(dram.org.columns));
+        const PhysAddr addr = At(b / dram.org.banks, b % dram.org.banks, row, column);
+        const bool write = rng.NextBelow(100) < 30;
+        if (!mc_->Enqueue(write ? Write(addr, rng.Next()) : Read(addr), now_)) {
+          break;
+        }
+      }
+      mc_->Tick(now_);
+    }
+    return {log_.entries, mc_->stats()};
+  }
+
+  static void ExpectSameRun(const TrafficOutcome& a, const TrafficOutcome& b) {
+    ASSERT_EQ(a.log.size(), b.log.size());
+    for (size_t i = 0; i < a.log.size(); ++i) {
+      ASSERT_EQ(a.log[i].cmd.ToDebugString(), b.log[i].cmd.ToDebugString()) << "command " << i;
+      ASSERT_EQ(a.log[i].at, b.log[i].at) << "command " << i;
+    }
+    ASSERT_EQ(a.stats.counters().size(), b.stats.counters().size());
+    for (const auto& [name, counter] : a.stats.counters()) {
+      EXPECT_EQ(counter.value(), b.stats.Get(name)) << name;
+    }
+    ASSERT_EQ(a.stats.histograms().size(), b.stats.histograms().size());
+    for (const auto& [name, histogram] : a.stats.histograms()) {
+      const Histogram* other = b.stats.GetHistogram(name);
+      ASSERT_NE(other, nullptr) << name;
+      EXPECT_TRUE(histogram == *other) << name;
     }
   }
-  EXPECT_EQ(raw->queries.size() - first_query, 50u * order.size());
-  EXPECT_EQ(throttled, 50u * order.size());
-  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls") - stalls_before, throttled);
-  EXPECT_EQ(raw->throttled_acts(), mc_->stats().Get("mc.throttle_stalls"));
+};
+
+// A pass-through wrapper leaves the controller on the same path as the
+// bare mitigation: same commands, same stats, same number of scans.
+TEST_F(GateTrafficTest, ForwardingWrapperSchedulesLikeTheBareMitigation) {
+  const DramConfig dram = DramConfig::SimDefault();
+  const TrafficOutcome para = RunTraffic(TestPara(dram));
+  EXPECT_GT(para.stats.Get("mc.mitigation_refreshes"), 0u);
+  ExpectSameRun(para, RunTraffic(std::make_unique<ForwardingGate>(TestPara(dram))));
+
+  const TrafficOutcome bh = RunTraffic(TestBlockHammer(dram, 8));
+  EXPECT_GT(bh.stats.Get("mc.throttle_stalls"), 0u);
+  ExpectSameRun(bh, RunTraffic(std::make_unique<ForwardingGate>(TestBlockHammer(dram, 8))));
+}
+
+// A BlockHammer that never throttles costs the scheduler nothing.
+TEST_F(GateTrafficTest, IdleBlockHammerScansLikeNoMitigation) {
+  const TrafficOutcome none = RunTraffic(nullptr);
+  const TrafficOutcome bh = RunTraffic(TestBlockHammer(DramConfig::SimDefault(), ~0u));
+  EXPECT_EQ(bh.stats.Get("mc.throttle_stalls"), 0u);
+  EXPECT_EQ(bh.stats.Get("mc.wake_batches"), none.stats.Get("mc.wake_batches"));
+  ExpectSameRun(none, bh);
 }
 
 // --- Scan memos set by issues and enqueues ----------------------------------

@@ -82,7 +82,7 @@ VariantOutcome RunVariant(bool event_driven, Hw hw, bool per_bank_refresh, Cycle
     case Hw::kNone:
       break;
     case Hw::kBlockHammer:
-      // Throttling exercises the scheduler's unstable (per-cycle) path.
+      // Throttling puts ACT-gate answers into the scan memos.
       system.mc().InstallMitigation(std::make_unique<BlockHammerMitigation>(
           config.dram.org, config.dram.retention, config.dram.disturbance,
           BlockHammerConfig{}));
@@ -348,6 +348,7 @@ TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
   uint64_t throttled = 0;
   uint64_t draining = 0;
   uint64_t memos = 0;
+  uint64_t gated_memos = 0;
   size_t variant = 0;
   for (const uint32_t ranks : {1u, 2u}) {
     for (const bool per_bank_refresh : {false, true}) {
@@ -364,16 +365,20 @@ TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
             c.depth = kDepths[variant % 4];
             c.write_percent = kWritePercents[variant % 3];
             SchedulerOracle oracle;
-            RunSchedulerCheck(c, 20000, oracle);
+            // Throttled BlockHammer traffic issues (and so scans) slower.
+            RunSchedulerCheck(c, hw == SchedHw::kBlockHammer ? 40000 : 20000, oracle);
             EXPECT_TRUE(oracle.ok()) << Describe(c) << "\n" << oracle.Report();
             EXPECT_GT(oracle.scans_checked(), 1000u) << Describe(c);
             scans += oracle.scans_checked();
             for (size_t k = 0; k < 4; ++k) {
               by_kind[k] += oracle.picks_by_kind()[k];
             }
-            throttled += oracle.throttled_scans();
+            throttled += oracle.gate_bound_picks();
             draining += oracle.draining_scans();
             memos += oracle.memos_checked();
+            if (hw == SchedHw::kBlockHammer) {
+              gated_memos += oracle.memos_checked();
+            }
           }
         }
       }
@@ -387,11 +392,13 @@ TEST(EventScheduling, PerBankPicksMatchReferenceScanOnEveryScan) {
   EXPECT_GT(throttled, 0u);
   EXPECT_GT(draining, 0u);
   EXPECT_GT(scans, 0u);
-  EXPECT_GT(memos, 0u);  // Issue and enqueue memos were checked too.
+  EXPECT_GT(memos, 0u);  // Issue and enqueue memos were checked too,
+  EXPECT_GT(gated_memos, 0u);  // also behind a gate that throttles.
 }
 
-// The oracle is not vacuous: a snapshot whose recorded gate answers
-// disagree with the scan, or a doctored pick, is reported.
+// The oracle is not vacuous: a doctored pick, a pick that ignores a
+// closed bank's ACT-gate deadline, and a memo past that deadline are
+// reported.
 TEST(EventScheduling, SchedulerOracleFlagsDivergentPicks) {
   const DramConfig dram = DramConfig::SimDefault();
   SchedScan scan;
@@ -400,30 +407,51 @@ TEST(EventScheduling, SchedulerOracleFlagsDivergentPicks) {
   scan.timing.emplace(dram.org, dram.timing, false);
   scan.queue.push_back({0, DdrCoord{0, 0, 1, 7, 0}, MemOp::kRead});
   scan.queue.push_back({1, DdrCoord{0, 0, 2, 9, 0}, MemOp::kRead});
-  const RefSchedResult ref = ReferenceSchedPick(scan);
-  ASSERT_EQ(ref.pick.kind, SchedPick::Kind::kAct);
-  EXPECT_EQ(ref.pick.seq, 0u);
+  const SchedPick ref = ReferenceSchedPick(scan);
+  ASSERT_EQ(ref.kind, SchedPick::Kind::kAct);
+  EXPECT_EQ(ref.seq, 0u);
+  EXPECT_FALSE(ref.gate_bound);
 
   SchedulerOracle oracle;
-  oracle.OnScan(scan, ref.pick);
+  oracle.OnScan(scan, ref);
   EXPECT_TRUE(oracle.ok()) << oracle.Report();
-  SchedPick younger = ref.pick;
+  SchedPick younger = ref;
   younger.seq = 1;
   younger.cmd = DdrCommand::Act(0, 2, 9);
   oracle.OnScan(scan, younger);
   EXPECT_EQ(oracle.total_divergences(), 1u);
 
-  // Gated scan: the oldest bank was throttled, so the reference must ask
-  // about it first and then pick the younger bank's ACT.
-  scan.gated = true;
-  scan.act_queries.push_back({0, 1, 7, 900});
-  scan.act_queries.push_back({0, 2, 9, 100});
-  const RefSchedResult gated = ReferenceSchedPick(scan);
-  EXPECT_TRUE(gated.queries_match);
-  EXPECT_EQ(gated.pick.seq, 1u);
-  EXPECT_EQ(gated.pick.throttle_stalls, 1u);
-  std::swap(scan.act_queries[0], scan.act_queries[1]);  // Asked out of age order.
-  EXPECT_FALSE(ReferenceSchedPick(scan).queries_match);
+  // The oldest bank's ACT is held until cycle 900, so the reference takes
+  // the younger bank's; the oldest one is the pick that ignores the gate.
+  scan.queue[0].act_allowed = 900;
+  const SchedPick gated = ReferenceSchedPick(scan);
+  EXPECT_EQ(gated.seq, 1u);
+  EXPECT_FALSE(gated.gate_bound);
+  oracle.OnScan(scan, gated);
+  EXPECT_EQ(oracle.total_divergences(), 1u) << oracle.Report();
+  oracle.OnScan(scan, ref);
+  EXPECT_EQ(oracle.total_divergences(), 2u);
+
+  // Released at its deadline, the ACT is gate-bound: the gate, not
+  // timing, held it.
+  scan.now = 900;
+  const SchedPick released = ReferenceSchedPick(scan);
+  EXPECT_EQ(released.seq, 0u);
+  EXPECT_TRUE(released.gate_bound);
+  SchedPick unbound = released;
+  unbound.gate_bound = false;
+  oracle.OnScan(scan, unbound);
+  EXPECT_EQ(oracle.total_divergences(), 3u);
+
+  // A memo may claim cycles up to the deadline, not the cycle it releases.
+  scan.queue.pop_back();
+  SchedulerOracle memos;
+  scan.now = 899;  // A memo of 900: the ACT is still held on its last claimed cycle.
+  memos.OnMemo(scan, SchedMemoKind::kIssue);
+  EXPECT_TRUE(memos.ok()) << memos.Report();
+  scan.now = 900;  // A memo of 901 claims the cycle the ACT is released.
+  memos.OnMemo(scan, SchedMemoKind::kIssue);
+  EXPECT_EQ(memos.total_divergences(), 1u);
 }
 
 // A memo claims no request issues before it; the oracle checks the claim
@@ -453,13 +481,13 @@ TEST(EventScheduling, SchedulerOracleInjectionDropsTheDrainMask) {
   scan.due_slots = 1;  // Rank 0 is draining for REF.
   scan.timing.emplace(dram.org, dram.timing, false);
   scan.queue.push_back({0, DdrCoord{0, 0, 1, 7, 0}, MemOp::kRead});
-  const RefSchedResult ref = ReferenceSchedPick(scan);
-  ASSERT_EQ(ref.pick.kind, SchedPick::Kind::kNone);
+  const SchedPick ref = ReferenceSchedPick(scan);
+  ASSERT_EQ(ref.kind, SchedPick::Kind::kNone);
 
   SchedulerOracle oracle(/*max_divergences=*/16, /*break_after=*/1);
-  oracle.OnScan(scan, ref.pick);
+  oracle.OnScan(scan, ref);
   EXPECT_TRUE(oracle.ok()) << oracle.Report();
-  oracle.OnScan(scan, ref.pick);
+  oracle.OnScan(scan, ref);
   EXPECT_EQ(oracle.total_divergences(), 1u);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
+
 namespace ht {
 namespace {
 
@@ -27,23 +31,46 @@ TEST(Para, NeverThrottles) {
   EXPECT_EQ(para.ActAllowedAt(0, 0, 5, 123), 123u);
 }
 
-// The controller skips the gate, and sets scan memos ahead, only for a
-// mitigation that declares it cannot throttle; anything else keeps the
-// per-cycle rescans, so the default must be "may throttle".
-TEST(McMitigation, OnlyBlockHammerMayThrottle) {
-  const DramConfig cfg = Cfg();
-  EXPECT_FALSE(ParaMitigation(cfg.org, ParaConfig{}).MayThrottle());
-  EXPECT_FALSE(GrapheneMitigation(cfg.org, cfg.disturbance, GrapheneConfig{}).MayThrottle());
-  EXPECT_FALSE(TwiceMitigation(cfg.org, cfg.timing, cfg.disturbance, TwiceConfig{}).MayThrottle());
-  EXPECT_TRUE(BlockHammerMitigation(cfg.org, cfg.retention, cfg.disturbance, BlockHammerConfig{})
-                  .MayThrottle());
-  struct PlainGate final : McMitigation {
-    std::string name() const override { return "plain"; }
-    void OnActivate(uint32_t, uint32_t, uint32_t, Cycle,
-                    std::vector<NeighborRefreshRequest>&) override {}
-    uint64_t SramBits() const override { return 0; }
+// The controller folds gate answers into the cycles it next scans at and
+// drops them only at the epoch, so BlockHammer's gate must be pure, and
+// its answers may rise on any ACT but fall only at OnEpoch.
+TEST(BlockHammer, GateAnswersFallOnlyAtTheEpoch) {
+  BlockHammerConfig config;
+  config.blacklist_threshold = 4;
+  config.throttle_delay = 500;
+  BlockHammerMitigation bh(Cfg().org, Cfg().retention, Cfg().disturbance, config);
+  // Probes over two banks and a few rows, asked at a fixed cycle.
+  constexpr Cycle kAsk = 100;
+  const auto answers = [&bh] {
+    std::vector<Cycle> out;
+    for (uint32_t bank = 0; bank < 2; ++bank) {
+      for (uint32_t row = 0; row < 6; ++row) {
+        out.push_back(bh.ActAllowedAt(0, bank, row, kAsk));
+      }
+    }
+    return out;
   };
-  EXPECT_TRUE(PlainGate().MayThrottle());
+  Rng rng(11);
+  std::vector<NeighborRefreshRequest> out;
+  std::vector<Cycle> before = answers();
+  bool rose = false;
+  for (Cycle now = 0; now < 60; ++now) {
+    bh.OnActivate(0, static_cast<uint32_t>(rng.NextBelow(2)),
+                  static_cast<uint32_t>(rng.NextBelow(6)), now, out);
+    const std::vector<Cycle> after = answers();
+    EXPECT_EQ(answers(), after) << "asking again changed an answer";
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_GE(after[i], before[i]) << "probe " << i << " fell across an ACT at " << now;
+      rose |= after[i] > before[i];
+    }
+    before = after;
+  }
+  EXPECT_TRUE(rose);
+  bh.OnEpoch(1000);
+  const std::vector<Cycle> reset = answers();
+  for (size_t i = 0; i < reset.size(); ++i) {
+    EXPECT_EQ(reset[i], kAsk) << "probe " << i << " still held after the epoch";
+  }
 }
 
 TEST(Para, TinySramFootprint) {
@@ -193,7 +220,7 @@ TEST(BlockHammer, ThrottlesBlacklistedRow) {
   const Cycle allowed = bh.ActAllowedAt(0, 0, 7, t);
   EXPECT_GT(allowed, t);
   EXPECT_LE(allowed, t + 500);
-  EXPECT_GT(bh.throttled_acts(), 0u);
+  EXPECT_EQ(bh.ActAllowedAt(0, 0, 7, allowed), allowed);  // Released exactly then.
   EXPECT_TRUE(out.empty());  // BlockHammer never refreshes.
 }
 

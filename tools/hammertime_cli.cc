@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   table.AddRow({"corrupted lines", Table::Num(result.security.corrupted_lines)});
   table.AddRow({"defense interrupts/detections", Table::Num(result.defense_interrupts)});
   table.AddRow({"page migrations", Table::Num(result.page_moves)});
-  table.AddRow({"throttle stall-cycles", Table::Num(result.throttle_stalls)});
+  table.AddRow({"throttled ACTs", Table::Num(result.throttle_stalls)});
   table.AddRow({"row-hit rate", Table::Percent(result.perf.row_hit_rate)});
   table.AddRow({"avg read latency (cyc)", Table::Fixed(result.perf.avg_read_latency, 1)});
   table.AddRow({"ops/kcycle", Table::Fixed(result.perf.ops_per_kcycle, 1)});
